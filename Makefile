@@ -6,7 +6,8 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test chaos perf differential verify-invariants coverage test-all \
 	bench bench-async bench-compression bench-figures bench-scale bench-scale-check \
-	bench-topology bench-topology-check orchestrate-smoke scenario-smoke
+	bench-topology bench-topology-check orchestrate-smoke scenario-smoke \
+	perfbench-test
 
 ## The default (tier-1) suite: the addopts in pyproject.toml deselect the
 ## chaos, perf, and differential markers, so a bare pytest run is tier-1.
@@ -40,6 +41,11 @@ scenario-smoke:
 	$(PYTEST) tests/differential/test_workload_differential.py -q -m differential
 	$(PYTEST) tests/runtime/test_chaos_byzantine.py -q -m chaos
 	$(PYTEST) tests/properties/test_robust_properties.py -q
+
+## The layered benchmark's own tests: tiny-scale runs of every perfbench
+## workload, including the traced-equals-untraced bitwise check.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 ## Line-coverage floor over the compression and network packages
 ## (pytest-cov when installed, a sys.settrace fallback otherwise).

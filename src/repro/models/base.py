@@ -139,3 +139,21 @@ class Model(abc.ABC):
 def add_bias_column(X: np.ndarray) -> np.ndarray:
     """Append a constant-one column so linear models learn an intercept."""
     return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def group_by_sample_count(shards) -> list[tuple[slice | np.ndarray, list[int]]]:
+    """Shard indices grouped by sample count, ascending, for batched kernels.
+
+    Each group is ``(rows, members)``: ``members`` lists the shard indices
+    and ``rows`` selects their rows of an ``(N, P)`` stack. A single group
+    covers every shard in order, so its ``rows`` is a slice and the rows stay
+    a view instead of a gathered copy.
+    """
+    by_count: dict[int, list[int]] = {}
+    for index, (X, _y) in enumerate(shards):
+        by_count.setdefault(X.shape[0], []).append(index)
+    single = len(by_count) == 1
+    return [
+        (slice(None) if single else np.asarray(members), members)
+        for _count, members in sorted(by_count.items())
+    ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column
+from repro.models.base import Model, add_bias_column, group_by_sample_count
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -79,87 +79,68 @@ class LogisticRegression(Model):
     # -- batched multi-shard path (vectorized engine) ---------------------------
 
     def prepare_shards(self, shards) -> "_PreparedLogisticShards":
-        """Cache design matrices and signed labels for all shards at once."""
-        designs = []
-        signed = []
-        for X, y in shards:
-            X, y = self.check_batch(X, y)
-            designs.append(np.ascontiguousarray(self._design(X)))
-            signed.append(self._signed_labels(y))
-        sizes = {d.shape[0] for d in designs}
-        uniform = len(sizes) == 1
-        return _PreparedLogisticShards(
-            designs=tuple(designs),
-            signed=tuple(signed),
-            signed_stack=np.stack(signed) if uniform and designs else None,
-        )
+        """Stack design matrices and signed labels per sample-count group.
 
-    def _margins_stack(
-        self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
-    ) -> np.ndarray:
-        """Per-shard margins ``signed * (design @ params)`` as one (N, n) array.
-
-        The matvec stays per-shard (a batched 3-D matmul may reassociate the
-        dot products), but writing the rows into one buffer lets every
-        subsequent elementwise op run batched with unchanged per-row results.
+        Shards with equal sample counts share one C-contiguous ``(g, n, d)``
+        design stack; ``designs`` holds per-shard row views of those stacks,
+        so each design is stored once.
         """
-        n = prepared.designs[0].shape[0]
-        margins = np.empty((len(prepared.designs), n))
-        for i, (design, signed) in enumerate(zip(prepared.designs, prepared.signed)):
-            margins[i] = signed * (design @ params_stack[i])
-        return margins
+        validated = [self.check_batch(X, y) for X, y in shards]
+        designs: list[np.ndarray] = [None] * len(validated)  # type: ignore[list-item]
+        groups = []
+        for rows, members in group_by_sample_count(validated):
+            count = validated[members[0]][0].shape[0]
+            design_stack = np.empty((len(members), count, self.n_params))
+            signed_stack = np.empty((len(members), count))
+            for j, index in enumerate(members):
+                X, y = validated[index]
+                design_stack[j] = self._design(X)
+                signed_stack[j] = self._signed_labels(y)
+                designs[index] = design_stack[j]
+            groups.append((rows, design_stack, signed_stack))
+        return _PreparedLogisticShards(tuple(designs), tuple(groups))
+
+    @staticmethod
+    def _margins_stack(
+        params_group: np.ndarray, designs: np.ndarray, signed: np.ndarray
+    ) -> np.ndarray:
+        """Per-shard margins ``signed * (design @ params)`` as one (g, n) array.
+
+        numpy runs a stacked ``matmul`` item by item, issuing for each item
+        the same cblas ``gemv``/``dot`` call as the 2-D per-shard expression
+        as long as the item's strides are BLAS-compatible; other layouts fall
+        back to numpy's own loop, which sums in a different order. So every
+        batched product here takes C-contiguous stacks only: the designs are
+        stored that way and the evaluators make the parameter stack so.
+        """
+        return signed * np.matmul(designs, params_group[:, :, None])[:, :, 0]
 
     def batch_losses(
         self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
     ) -> np.ndarray:
-        if prepared.signed_stack is None:
-            return self._batch_losses_loop(params_stack, prepared)
-        margins = self._margins_stack(params_stack, prepared)
-        data_terms = np.logaddexp(0.0, -margins).mean(axis=1)
-        reg_terms = np.array(
-            [float(params_stack[i] @ params_stack[i]) for i in range(len(params_stack))]
-        )
-        return data_terms + 0.5 * self.regularization * reg_terms
+        params_stack = np.ascontiguousarray(params_stack)
+        losses = np.empty(len(prepared.designs))
+        for rows, designs, signed in prepared.groups:
+            params_group = params_stack[rows]
+            margins = self._margins_stack(params_group, designs, signed)
+            data_terms = np.logaddexp(0.0, -margins).mean(axis=1)
+            reg_terms = np.matmul(params_group[:, None, :], params_group[:, :, None])
+            losses[rows] = data_terms + 0.5 * self.regularization * reg_terms[:, 0, 0]
+        return losses
 
     def batch_gradients(
         self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
     ) -> np.ndarray:
-        if prepared.signed_stack is None:
-            return self._batch_gradients_loop(params_stack, prepared)
-        margins = self._margins_stack(params_stack, prepared)
-        n = prepared.designs[0].shape[0]
-        weights = _stable_sigmoid(-margins)
-        coefficients = -(weights * prepared.signed_stack) / n
+        params_stack = np.ascontiguousarray(params_stack)
         gradients = np.empty_like(params_stack)
-        for i, design in enumerate(prepared.designs):
-            gradients[i] = design.T @ coefficients[i]
-        gradients += self.regularization * params_stack
-        return gradients
-
-    def _batch_losses_loop(
-        self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
-    ) -> np.ndarray:
-        """Unequal shard sizes: per-shard evaluation on the cached designs."""
-        losses = np.empty(len(prepared.designs))
-        for i, (design, signed) in enumerate(zip(prepared.designs, prepared.signed)):
-            margins = signed * (design @ params_stack[i])
-            data_term = float(np.mean(np.logaddexp(0.0, -margins)))
-            losses[i] = data_term + 0.5 * self.regularization * float(
-                params_stack[i] @ params_stack[i]
-            )
-        return losses
-
-    def _batch_gradients_loop(
-        self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
-    ) -> np.ndarray:
-        gradients = np.empty_like(params_stack)
-        for i, (design, signed) in enumerate(zip(prepared.designs, prepared.signed)):
-            margins = signed * (design @ params_stack[i])
+        for rows, designs, signed in prepared.groups:
+            params_group = params_stack[rows]
+            margins = self._margins_stack(params_group, designs, signed)
+            # sigmoid(-m) = 1 / (1 + exp(m)), computed stably.
             weights = _stable_sigmoid(-margins)
-            coefficients = -(weights * signed) / design.shape[0]
-            gradients[i] = (
-                design.T @ coefficients + self.regularization * params_stack[i]
-            )
+            coefficients = -(weights * signed) / designs.shape[1]
+            products = np.matmul(designs.transpose(0, 2, 1), coefficients[:, :, None])
+            gradients[rows] = products[:, :, 0] + self.regularization * params_group
         return gradients
 
     def predict_proba(self, params: Params, X: np.ndarray) -> np.ndarray:
@@ -184,15 +165,15 @@ class LogisticRegression(Model):
 class _PreparedLogisticShards:
     """Cached shard state for the batched evaluators.
 
-    ``signed_stack`` is the ``(N, n)`` label matrix when every shard has the
-    same sample count (the batched elementwise fast path); ``None`` means the
-    shards are ragged and the evaluators fall back to a per-shard loop over
-    the cached designs.
+    ``groups`` holds one ``(rows, designs, signed)`` triple per sample count
+    ``n``, ascending: the group's rows of the parameter stack, its
+    C-contiguous ``(g, n, d)`` design stack and its ``(g, n)`` labels in
+    ``{-1, +1}``. ``designs[i]`` is shard ``i``'s design, a view into its
+    group's stack.
     """
 
     designs: tuple[np.ndarray, ...]
-    signed: tuple[np.ndarray, ...]
-    signed_stack: np.ndarray | None
+    groups: tuple[tuple[slice | np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -16,29 +16,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataError
-from repro.models.base import Model
+from repro.models.base import Model, group_by_sample_count
 from repro.types import Params, SeedLike
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_non_negative
 
 
 class _PreparedMLPShards:
-    """Validated shards plus same-sample-count groups for the batched kernels."""
+    """Same-sample-count ``(rows, X_stack, labels_stack)`` groups of the shards."""
 
-    __slots__ = ("shards", "groups")
+    __slots__ = ("n_shards", "groups")
 
-    def __init__(self, shards, groups):
-        self.shards = shards
+    def __init__(self, n_shards, groups):
+        self.n_shards = n_shards
         self.groups = groups
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def __iter__(self):
-        return iter(self.shards)
-
-    def __getitem__(self, index):
-        return self.shards[index]
 
 
 class MLPClassifier(Model):
@@ -202,14 +193,16 @@ class MLPClassifier(Model):
     def prepare_shards(self, shards):
         """Cache validated shards, grouped by sample count for batched kernels.
 
-        Shards with the same number of samples are stacked into contiguous
+        Shards with the same number of samples are stacked into C-contiguous
         ``(group, samples, features)`` blocks so one forward/backward pass
-        serves the whole group: per-node 2-D matmuls are kept (3-D batched
-        GEMM may reassociate and break bit-identity with :meth:`gradient`),
-        but every elementwise op — tanh, softmax, the tanh' chain-rule factor
-        — runs once per group instead of once per node, and gradients are
-        written straight into their flat-layout slices without a per-node
-        ``pack``.
+        serves the whole group: every product is one stacked ``np.matmul``
+        and every elementwise op — tanh, softmax, the tanh' chain-rule
+        factor — runs once per group instead of once per node. For each
+        stacked item numpy issues the same cblas call as the per-node 2-D
+        product, provided the item's strides are BLAS-compatible (a non-BLAS
+        layout falls back to numpy's own loop, whose summation order
+        differs); the kernels therefore only pass C-contiguous stacks, which
+        keeps them bitwise identical to :meth:`gradient` and :meth:`loss`.
         """
         validated = []
         for X, y in shards:
@@ -217,115 +210,86 @@ class MLPClassifier(Model):
             X = self._check_inputs(X)
             labels = self._check_labels(y)
             validated.append((np.ascontiguousarray(X), labels))
-        by_count: dict[int, list[int]] = {}
-        for index, (X, _labels) in enumerate(validated):
-            by_count.setdefault(X.shape[0], []).append(index)
         groups = []
-        for count in sorted(by_count):
-            indices = np.asarray(by_count[count], dtype=np.int64)
-            X_stack = np.stack([validated[i][0] for i in indices])
-            labels_stack = np.stack([validated[i][1] for i in indices])
-            groups.append((indices, X_stack, labels_stack))
-        return _PreparedMLPShards(tuple(validated), tuple(groups))
+        for rows, members in group_by_sample_count(validated):
+            X_stack = np.stack([validated[i][0] for i in members])
+            labels_stack = np.stack([validated[i][1] for i in members])
+            groups.append((rows, X_stack, labels_stack))
+        return _PreparedMLPShards(len(validated), tuple(groups))
+
+    def _weights_view(self, stack: np.ndarray, layer: int) -> np.ndarray:
+        """Layer ``layer``'s weight block of a ``(g, P)`` stack as ``(g, rows, cols)``.
+
+        ``stack`` must be C-contiguous: the result is then a view (so it can
+        also serve as an ``out=`` target) whose items have the strides
+        :meth:`unpack` gives a single node's weight matrix.
+        """
+        offset, rows, cols, _bias_offset, _bias_len = self._layout[layer]
+        return stack[:, offset : offset + rows * cols].reshape(-1, rows, cols)
 
     def _group_forward(self, params_group: np.ndarray, X_stack: np.ndarray):
         """Batched forward over one same-sample-count group.
 
         Returns (activations per layer as ``(g, m, width)`` stacks,
-        log-probabilities). Matmuls run per node; everything elementwise runs
-        on the stacked buffers, which is bitwise identical because those ops
-        have no cross-element interaction.
+        log-probabilities).
         """
-        g, m, _ = X_stack.shape
         activations = [X_stack]
         hidden = X_stack
-        for offset, rows, cols, bias_offset, bias_len in self._layout[:-1]:
-            pre = np.empty((g, m, cols))
-            for n in range(g):
-                weight = params_group[n, offset : offset + rows * cols].reshape(
-                    rows, cols
-                )
-                np.matmul(hidden[n], weight, out=pre[n])
-            pre += params_group[:, None, bias_offset : bias_offset + bias_len]
-            hidden = np.tanh(pre)
-            activations.append(hidden)
-        offset, rows, cols, bias_offset, bias_len = self._layout[-1]
-        logits = np.empty((g, m, cols))
-        for n in range(g):
-            weight = params_group[n, offset : offset + rows * cols].reshape(rows, cols)
-            np.matmul(hidden[n], weight, out=logits[n])
-        logits += params_group[:, None, bias_offset : bias_offset + bias_len]
+        last = len(self._layout) - 1
+        for layer, (_o, _r, _c, bias_offset, bias_len) in enumerate(self._layout):
+            logits = np.matmul(hidden, self._weights_view(params_group, layer))
+            logits += params_group[:, None, bias_offset : bias_offset + bias_len]
+            if layer < last:
+                hidden = np.tanh(logits)
+                activations.append(hidden)
         shifted = logits - logits.max(axis=2, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
         return activations, log_probs
 
     def batch_losses(self, params_stack: np.ndarray, prepared) -> np.ndarray:
-        if not isinstance(prepared, _PreparedMLPShards):
-            return self._batch_losses_loop(params_stack, prepared)
-        losses = np.empty(len(prepared.shards))
-        for indices, X_stack, labels_stack in prepared.groups:
-            params_group = params_stack[indices]
+        params_stack = np.ascontiguousarray(params_stack)
+        losses = np.empty(prepared.n_shards)
+        for rows, X_stack, labels_stack in prepared.groups:
+            params_group = params_stack[rows]
             _, log_probs = self._group_forward(params_group, X_stack)
-            m = X_stack.shape[1]
-            sample_index = np.arange(m)
-            for n, node in enumerate(indices):
-                data_term = -float(
-                    np.mean(log_probs[n, sample_index, labels_stack[n]])
-                )
-                losses[node] = data_term + 0.5 * self.regularization * float(
-                    params_stack[node] @ params_stack[node]
-                )
+            g, m, _ = X_stack.shape
+            picked = log_probs[np.arange(g)[:, None], np.arange(m), labels_stack]
+            reg_terms = np.matmul(params_group[:, None, :], params_group[:, :, None])
+            losses[rows] = (
+                -picked.mean(axis=1) + 0.5 * self.regularization * reg_terms[:, 0, 0]
+            )
         return losses
 
     def batch_gradients(self, params_stack: np.ndarray, prepared) -> np.ndarray:
-        if not isinstance(prepared, _PreparedMLPShards):
-            return self._batch_gradients_loop(params_stack, prepared)
+        params_stack = np.ascontiguousarray(params_stack)
         gradients = np.empty_like(params_stack)
-        for indices, X_stack, labels_stack in prepared.groups:
-            params_group = params_stack[indices]
+        for rows, X_stack, labels_stack in prepared.groups:
+            params_group = params_stack[rows]
+            # C-contiguous either way, as _weights_view needs for out=.
+            in_place = isinstance(rows, slice)
+            grad_group = gradients if in_place else np.empty_like(params_group)
             activations, log_probs = self._group_forward(params_group, X_stack)
             g, m, _ = X_stack.shape
             delta = np.exp(log_probs)
-            delta[
-                np.arange(g)[:, None], np.arange(m)[None, :], labels_stack
-            ] -= 1.0
+            delta[np.arange(g)[:, None], np.arange(m), labels_stack] -= 1.0
             delta /= m
-            for layer_index in range(len(self._layout) - 1, -1, -1):
-                offset, rows, cols, bias_offset, bias_len = self._layout[layer_index]
-                upstream = activations[layer_index]
-                for n, node in enumerate(indices):
-                    np.matmul(
-                        upstream[n].T,
-                        delta[n],
-                        out=gradients[node, offset : offset + rows * cols].reshape(
-                            rows, cols
-                        ),
-                    )
-                    gradients[node, bias_offset : bias_offset + bias_len] = delta[
-                        n
-                    ].sum(axis=0)
-                if layer_index > 0:
-                    back = np.empty((g, m, rows))
-                    for n in range(g):
-                        weight = params_group[
-                            n, offset : offset + rows * cols
-                        ].reshape(rows, cols)
-                        np.matmul(delta[n], weight.T, out=back[n])
-                    back *= 1.0 - upstream**2
-                    delta = back
-            gradients[indices] += self.regularization * params_group
-        return gradients
-
-    def _batch_losses_loop(self, params_stack: np.ndarray, prepared) -> np.ndarray:
-        losses = np.empty(len(prepared))
-        for i, (X, labels) in enumerate(prepared):
-            losses[i] = self._loss_impl(params_stack[i], X, labels)
-        return losses
-
-    def _batch_gradients_loop(self, params_stack: np.ndarray, prepared) -> np.ndarray:
-        gradients = np.empty_like(params_stack)
-        for i, (X, labels) in enumerate(prepared):
-            gradients[i] = self._gradient_impl(params_stack[i], X, labels)
+            for layer in range(len(self._layout) - 1, -1, -1):
+                _o, _r, _c, bias_offset, bias_len = self._layout[layer]
+                upstream = activations[layer]
+                np.matmul(
+                    upstream.transpose(0, 2, 1),
+                    delta,
+                    out=self._weights_view(grad_group, layer),
+                )
+                grad_group[:, bias_offset : bias_offset + bias_len] = delta.sum(axis=1)
+                if layer > 0:
+                    weights = self._weights_view(params_group, layer)
+                    # Propagate through tanh: derivative is 1 - activation^2.
+                    delta = np.matmul(delta, weights.transpose(0, 2, 1))
+                    delta *= 1.0 - upstream**2
+            grad_group += self.regularization * params_group
+            if not in_place:
+                gradients[rows] = grad_group
         return gradients
 
     def predict_proba(self, params: Params, X: np.ndarray) -> np.ndarray:

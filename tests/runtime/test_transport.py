@@ -204,11 +204,14 @@ class TestRetryAndReconnect:
         port = listener.getsockname()[1]
 
         accepted = []
+        first_accepted = threading.Event()
+        second_accepted = threading.Event()
 
         def accept_loop():
             while len(accepted) < 2:
                 sock, _ = listener.accept()
                 accepted.append(sock)
+                (second_accepted if len(accepted) == 2 else first_accepted).set()
 
         acceptor = threading.Thread(target=accept_loop, daemon=True)
         acceptor.start()
@@ -220,8 +223,7 @@ class TestRetryAndReconnect:
             reconnect=lambda: socket.create_connection(("127.0.0.1", port)),
             retry_policy=RetryPolicy(max_attempts=4, backoff_base_s=0.01),
         )
-        while len(accepted) < 1:
-            pass
+        assert first_accepted.wait(timeout=5.0)
         # Kill the server side of the first connection so the next sends
         # eventually fail with ECONNRESET/EPIPE.
         accepted[0].setsockopt(
@@ -235,8 +237,11 @@ class TestRetryAndReconnect:
         # call must either succeed or retry internally — never raise.
         for _ in range(50):
             sender.send_update(update)
-            if len(accepted) >= 2:
+            if second_accepted.is_set():
                 break
+        # The re-dial completes in the kernel's accept queue before the
+        # acceptor thread records it: wait for the record, with a deadline.
+        second_accepted.wait(timeout=5.0)
         assert len(accepted) >= 2  # the reconnect path actually re-dialed
         receiver = FrameConnection(accepted[-1])
         received = receiver.recv_update()
