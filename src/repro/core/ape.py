@@ -24,9 +24,20 @@ accumulator restarts — "we restart the iteration from the solution derived by
 the first 10 iterations". The schedule terminates once ``T_k`` falls below ε,
 after which only exactly-unchanged parameters are suppressed (SNAP degrades
 gracefully into SNAP-0, preserving exact convergence).
+
+Every server's state lives in one :class:`APEScheduleBank`: four ``(N,)``
+columns (``T_k``, ``A``, iterations in the stage, stage index) plus the
+shared constants. The vectorized engine steps all N machines with one
+:meth:`APEScheduleBank.record_rounds` call per round; everything else (the
+reference and semi-sync engines, the testbed, checkpoints, digests, the
+invariant monitor) drives one server at a time through an
+:class:`APESchedule`, a view of one row of the bank. Both steps apply the
+same float64 operations in the same order, so they agree bit for bit.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.utils.validation import (
     check_fraction,
@@ -36,8 +47,128 @@ from repro.utils.validation import (
 )
 
 
+class APEScheduleBank:
+    """Algorithm 1 state for N servers, stored column-wise.
+
+    Parameters are those of :class:`APESchedule` plus ``n_schedules``; every
+    row starts at stage 0 with ``T_0 = initial_threshold``.
+
+    The bank is also a sequence of its rows: ``bank[i]`` is server ``i``'s
+    :class:`APESchedule` view (the same object on every access), so code that
+    walks schedules one at a time keeps working unchanged.
+    """
+
+    def __init__(
+        self,
+        n_schedules: int,
+        initial_threshold: float,
+        growth: float,
+        stage_iterations: int = 10,
+        decay: float = 0.9,
+        epsilon: float = 0.0,
+        max_stage_iterations: int | None = None,
+    ):
+        n_schedules = check_positive_int("n_schedules", n_schedules)
+        check_positive("initial_threshold", initial_threshold)
+        if growth < 1.0:
+            raise ValueError(f"growth (1 + alpha*G) must be >= 1, got {growth}")
+        self.initial_threshold = float(initial_threshold)
+        self.growth = float(growth)
+        self.stage_iterations = check_positive_int("stage_iterations", stage_iterations)
+        self.decay = check_fraction("decay", decay)
+        self.epsilon = check_non_negative("epsilon", epsilon)
+        if max_stage_iterations is None:
+            max_stage_iterations = stage_iterations
+        self.max_stage_iterations = check_positive_int(
+            "max_stage_iterations", max_stage_iterations
+        )
+        if self.max_stage_iterations < self.stage_iterations:
+            raise ValueError(
+                "max_stage_iterations must be >= stage_iterations "
+                f"({self.max_stage_iterations} < {self.stage_iterations})"
+            )
+        # I_k (1 + αG)^{I_k} never changes across stages (only T_k decays),
+        # so the send_threshold denominator is computed once.
+        self.send_denominator = (
+            self.stage_iterations * self.growth**self.stage_iterations
+        )
+
+        #: Stage budget ``T_k`` per server.
+        self.threshold = np.full(n_schedules, self.initial_threshold)
+        #: APE estimate ``A`` per server within its current stage.
+        self.accumulated = np.zeros(n_schedules)
+        #: Iterations each server has spent in its current stage.
+        self.iterations_in_stage = np.zeros(n_schedules, dtype=np.int64)
+        #: Zero-based stage index per server.
+        self.stage = np.zeros(n_schedules, dtype=np.int64)
+        self._rows = [APESchedule._view(self, row) for row in range(n_schedules)]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, row: int) -> "APESchedule":
+        return self._rows[row]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def active(self) -> np.ndarray:
+        """Per server: whether the schedule still suppresses nonzero changes."""
+        return self.threshold > self.epsilon
+
+    def send_thresholds(self) -> np.ndarray:
+        """Every server's :attr:`APESchedule.send_threshold`, as one ``(N,)`` array."""
+        return np.where(
+            self.active(), self.threshold / self.send_denominator, 0.0
+        )
+
+    def record_rounds(
+        self, nodes: np.ndarray, suppressed_max: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`APESchedule.record_round` for every server in ``nodes`` at once.
+
+        ``nodes`` is an ``(N,)`` boolean mask of the servers that ran this
+        round and ``suppressed_max`` their ``(N,)`` largest suppressed
+        changes (entries outside the mask are ignored). Returns the ``(N,)``
+        mask of servers whose stage advanced.
+        """
+        nodes = np.asarray(nodes, dtype=bool)
+        suppressed_max = np.asarray(suppressed_max, dtype=float)
+        negative = nodes & (suppressed_max < 0)
+        if negative.any():
+            value = suppressed_max[np.flatnonzero(negative)[0]]
+            raise ValueError(f"suppressed_max must be >= 0, got {value}")
+        stepping = nodes & self.active()
+        # Overflow to inf is silent, as in the scalar step's Python floats
+        # (rows outside the step are computed too, then discarded).
+        with np.errstate(over="ignore", invalid="ignore"):
+            accumulated = self.growth * (self.accumulated + suppressed_max)
+        np.copyto(self.accumulated, accumulated, where=stepping)
+        self.iterations_in_stage += stepping
+        advanced = stepping & (
+            (self.accumulated > self.threshold)
+            | (self.iterations_in_stage >= self.max_stage_iterations)
+        )
+        if advanced.any():
+            decayed = self.threshold * self.decay
+            # See APESchedule.record_round: a decay that fails to shrink the
+            # budget (denormal range) exhausts the schedule.
+            np.copyto(
+                self.threshold,
+                np.where(decayed < self.threshold, decayed, 0.0),
+                where=advanced,
+            )
+            np.copyto(self.accumulated, 0.0, where=advanced)
+            np.copyto(self.iterations_in_stage, 0, where=advanced)
+            self.stage += advanced
+        return advanced
+
+
 class APESchedule:
     """Per-server APE threshold state machine.
+
+    A standalone schedule owns a one-row :class:`APEScheduleBank`; the
+    schedules of a trainer are rows of one shared bank.
 
     Parameters
     ----------
@@ -73,54 +204,74 @@ class APESchedule:
         epsilon: float = 0.0,
         max_stage_iterations: int | None = None,
     ):
-        check_positive("initial_threshold", initial_threshold)
-        if growth < 1.0:
-            raise ValueError(f"growth (1 + alpha*G) must be >= 1, got {growth}")
-        self.initial_threshold = float(initial_threshold)
-        self.growth = float(growth)
-        self.stage_iterations = check_positive_int("stage_iterations", stage_iterations)
-        self.decay = check_fraction("decay", decay)
-        self.epsilon = check_non_negative("epsilon", epsilon)
-        if max_stage_iterations is None:
-            max_stage_iterations = stage_iterations
-        self.max_stage_iterations = check_positive_int(
-            "max_stage_iterations", max_stage_iterations
+        bank = APEScheduleBank(
+            1,
+            initial_threshold,
+            growth,
+            stage_iterations=stage_iterations,
+            decay=decay,
+            epsilon=epsilon,
+            max_stage_iterations=max_stage_iterations,
         )
-        if self.max_stage_iterations < self.stage_iterations:
-            raise ValueError(
-                "max_stage_iterations must be >= stage_iterations "
-                f"({self.max_stage_iterations} < {self.stage_iterations})"
-            )
+        self._bank = bank
+        self._row = 0
+        bank._rows[0] = self
 
-        self._threshold = self.initial_threshold
-        self._accumulated = 0.0
-        self._iterations_in_stage = 0
-        self._stage = 0
-        # I_k (1 + αG)^{I_k} never changes across stages (only T_k decays),
-        # so the send_threshold denominator is computed once.
-        self._send_denominator = (
-            self.stage_iterations * self.growth**self.stage_iterations
-        )
+    @classmethod
+    def _view(cls, bank: APEScheduleBank, row: int) -> "APESchedule":
+        schedule = cls.__new__(cls)
+        schedule._bank = bank
+        schedule._row = row
+        return schedule
+
+    # -- shared constants ----------------------------------------------------
+
+    @property
+    def initial_threshold(self) -> float:
+        return self._bank.initial_threshold
+
+    @property
+    def growth(self) -> float:
+        return self._bank.growth
+
+    @property
+    def stage_iterations(self) -> int:
+        return self._bank.stage_iterations
+
+    @property
+    def decay(self) -> float:
+        return self._bank.decay
+
+    @property
+    def epsilon(self) -> float:
+        return self._bank.epsilon
+
+    @property
+    def max_stage_iterations(self) -> int:
+        return self._bank.max_stage_iterations
+
+    # -- this row's state ----------------------------------------------------
 
     @property
     def threshold(self) -> float:
         """Current stage budget ``T_k`` (0 once exhausted)."""
-        return self._threshold if self.active else 0.0
+        threshold = float(self._bank.threshold[self._row])
+        return threshold if threshold > self._bank.epsilon else 0.0
 
     @property
     def stage(self) -> int:
         """Zero-based index of the current stage."""
-        return self._stage
+        return int(self._bank.stage[self._row])
 
     @property
     def accumulated_error(self) -> float:
         """Current APE estimate ``A`` within the stage."""
-        return self._accumulated
+        return float(self._bank.accumulated[self._row])
 
     @property
     def active(self) -> bool:
         """Whether the schedule still suppresses nonzero changes."""
-        return self._threshold > self.epsilon
+        return float(self._bank.threshold[self._row]) > self._bank.epsilon
 
     @property
     def send_threshold(self) -> float:
@@ -129,9 +280,10 @@ class APESchedule:
         ``T_k / (I_k (1 + αG)^{I_k})`` while active, else 0 — meaning only
         exactly-unchanged parameters are suppressed.
         """
-        if not self.active:
+        threshold = float(self._bank.threshold[self._row])
+        if not threshold > self._bank.epsilon:
             return 0.0
-        return self._threshold / self._send_denominator
+        return threshold / self._bank.send_denominator
 
     def record_round(self, suppressed_max: float) -> None:
         """Fold one round's largest suppressed change into the APE estimate.
@@ -141,46 +293,48 @@ class APESchedule:
         """
         if suppressed_max < 0:
             raise ValueError(f"suppressed_max must be >= 0, got {suppressed_max}")
-        if not self.active:
+        bank, row = self._bank, self._row
+        threshold = float(bank.threshold[row])
+        if not threshold > bank.epsilon:
             return
-        self._accumulated = self.growth * (self._accumulated + float(suppressed_max))
-        self._iterations_in_stage += 1
-        if (
-            self._accumulated > self._threshold
-            or self._iterations_in_stage >= self.max_stage_iterations
-        ):
-            self._advance_stage()
-
-    def _advance_stage(self) -> None:
-        decayed = self._threshold * self.decay
-        # In the denormal range the product can round back to the threshold
-        # itself (e.g. 2 ulp * 0.9 -> 2 ulp), which would pin the schedule
-        # above a denormal epsilon forever; a decay step that fails to
-        # strictly shrink the budget means the threshold is already
-        # numerically indistinguishable from exhausted.
-        self._threshold = decayed if decayed < self._threshold else 0.0
-        self._accumulated = 0.0
-        self._iterations_in_stage = 0
-        self._stage += 1
+        accumulated = bank.growth * (
+            float(bank.accumulated[row]) + float(suppressed_max)
+        )
+        iterations = int(bank.iterations_in_stage[row]) + 1
+        if accumulated > threshold or iterations >= bank.max_stage_iterations:
+            decayed = threshold * bank.decay
+            # In the denormal range the product can round back to the
+            # threshold itself (e.g. 2 ulp * 0.9 -> 2 ulp), which would pin
+            # the schedule above a denormal epsilon forever; a decay step
+            # that fails to strictly shrink the budget means the threshold
+            # is already numerically indistinguishable from exhausted.
+            bank.threshold[row] = decayed if decayed < threshold else 0.0
+            accumulated = 0.0
+            iterations = 0
+            bank.stage[row] += 1
+        bank.accumulated[row] = accumulated
+        bank.iterations_in_stage[row] = iterations
 
     def state_dict(self) -> dict:
         """Mutable state for checkpointing (configuration is not included)."""
+        bank, row = self._bank, self._row
         return {
-            "threshold": self._threshold,
-            "accumulated": self._accumulated,
-            "iterations_in_stage": self._iterations_in_stage,
-            "stage": self._stage,
+            "threshold": float(bank.threshold[row]),
+            "accumulated": float(bank.accumulated[row]),
+            "iterations_in_stage": int(bank.iterations_in_stage[row]),
+            "stage": int(bank.stage[row]),
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""
-        self._threshold = float(state["threshold"])
-        self._accumulated = float(state["accumulated"])
-        self._iterations_in_stage = int(state["iterations_in_stage"])
-        self._stage = int(state["stage"])
+        bank, row = self._bank, self._row
+        bank.threshold[row] = float(state["threshold"])
+        bank.accumulated[row] = float(state["accumulated"])
+        bank.iterations_in_stage[row] = int(state["iterations_in_stage"])
+        bank.stage[row] = int(state["stage"])
 
     def __repr__(self) -> str:
         return (
-            f"APESchedule(stage={self._stage}, threshold={self.threshold:.3e}, "
+            f"APESchedule(stage={self.stage}, threshold={self.threshold:.3e}, "
             f"send_threshold={self.send_threshold:.3e}, active={self.active})"
         )

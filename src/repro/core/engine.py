@@ -438,10 +438,7 @@ class VectorizedEngine:
         return mixed
 
     def step_round(self, round_index: int, down: frozenset) -> None:
-        active = np.ones(self.n_nodes, dtype=bool)
-        for node in down:
-            if 0 <= node < self.n_nodes:
-                active[node] = False
+        active = self._active_mask(down)
 
         gradients = self.scales[:, None] * self._batch_gradients()
         robust = self.trainer.config.robust_aggregation
@@ -555,10 +552,9 @@ class VectorizedEngine:
         tx = self._tx_params(round_index)
 
         scale = np.maximum(np.abs(tx).mean(axis=1), 1e-8)
-        if trainer._schedules is not None:
-            relative = np.array(
-                [schedule.send_threshold for schedule in trainer._schedules]
-            )
+        schedules = trainer._schedules
+        if schedules is not None:
+            relative = schedules.send_thresholds()
         else:
             relative = np.zeros(self.n_nodes)
         threshold = relative * scale
@@ -588,12 +584,12 @@ class VectorizedEngine:
             n_sent = send_mask.sum(axis=1)
 
         suppressed_node = None
-        if trainer._schedules is not None:
+        if schedules is not None:
             # Masked suppressed-max without a where() copy: zeroing the sent
             # coordinates in place and reducing is bitwise equal to
             # np.where(send_mask, 0.0, deltas).max(axis=1) — and deltas is
             # scratch, dead after this.
-            deltas[send_mask] = 0.0
+            np.copyto(deltas, 0.0, where=send_mask)
             suppressed_edge = deltas.max(axis=1)
             suppressed_node = np.zeros(self.n_nodes)
             idx = np.flatnonzero(eligible)
@@ -626,29 +622,24 @@ class VectorizedEngine:
             if dense:
                 self.views[delivered_idx] = tx[self.edge_src[delivered_idx]]
             else:
-                # Scatter only the transmitted coordinates instead of
-                # materializing (K, d) sent-row and where() copies: writes
-                # exactly the masked entries with the same values.
-                rows, cols = np.nonzero(send_mask[delivered_idx])
-                edge_rows = delivered_idx[rows]
-                self.views[edge_rows, cols] = tx[
-                    self.edge_src[edge_rows], cols
-                ]
+                # Masked write of the transmitted coordinates of delivered
+                # edges, staged through the (dead) delta scratch: the same
+                # values land in the same entries as a scatter, with no
+                # index arrays or (K, d) temporaries.
+                np.take(tx, self.edge_src, axis=0, out=deltas)
+                np.logical_and(send_mask, delivered_mask[:, None], out=send_mask)
+                np.copyto(self.views, deltas, where=send_mask)
             self.fresh[delivered_idx] = True
         params_sent = int(n_sent[delivered_idx].sum())
         delivered = DeliveredEdges(
             self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
         )
 
-        if trainer._schedules is not None:
-            for i in np.flatnonzero(active):
-                schedule = trainer._schedules[i]
-                stage_before = schedule.stage
-                schedule.record_round(float(suppressed_node[i]) / float(scale[i]))
-                if schedule.stage != stage_before:
-                    # Algorithm 1 stage boundary: restart the EXTRA recursion.
-                    self.has_previous[i] = False
-                    self.previous_views_valid[i] = False
+        if schedules is not None:
+            advanced = schedules.record_rounds(active, suppressed_node / scale)
+            # Algorithm 1 stage boundary: restart the EXTRA recursion.
+            self.has_previous &= ~advanced
+            self.previous_views_valid &= ~advanced
         return params_sent, delivered
 
     def _communicate_generic(

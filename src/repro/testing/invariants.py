@@ -149,7 +149,7 @@ class InvariantMonitor:
         self._pending_flows: list[tuple] = []
         trainer.tracker.add_observer(self._observe_flows)
         self._feasible_size_array: np.ndarray | None = None
-        self._threshold_watermarks: list[float] | None = None
+        self._threshold_watermarks: np.ndarray | None = None
         self._consensus_envelope: float | None = None
         self._envelope_rounds_seen = 0
         self._drift_watermark = 0
@@ -184,10 +184,7 @@ class InvariantMonitor:
         self._check_weight_stochasticity()
         self._check_weight_spectrum()
         if self._threshold_watermarks is None and self.trainer._schedules:
-            self._threshold_watermarks = [
-                schedule.state_dict()["threshold"]
-                for schedule in self.trainer._schedules
-            ]
+            self._threshold_watermarks = self.trainer._schedules.threshold.copy()
 
     def on_topology_swap(self, swap) -> None:
         """Re-validate the mixing contracts after an adaptive topology swap.
@@ -392,54 +389,61 @@ class InvariantMonitor:
             check(self, record, down)
 
     def _check_ape_budget(self, record) -> None:
-        schedules = self.trainer._schedules
-        if not schedules:
+        bank = self.trainer._schedules
+        if not bank:
             return
         self.checks["ape-budget"] += 1
+        threshold = bank.threshold
+        accumulated = bank.accumulated
         if self._threshold_watermarks is None:
-            self._threshold_watermarks = [
-                schedule.state_dict()["threshold"] for schedule in schedules
-            ]
-        for node, schedule in enumerate(schedules):
-            state = schedule.state_dict()
-            threshold = state["threshold"]
-            accumulated = state["accumulated"]
-            if accumulated < 0:
+            self._threshold_watermarks = threshold.copy()
+        watermark = self._threshold_watermarks
+        active = threshold > bank.epsilon
+        negative = accumulated < 0
+        over_budget = active & (accumulated > threshold)
+        grew = threshold > watermark * (1.0 + 1e-12)
+        send = bank.send_thresholds()
+        expected_send = np.where(active, threshold / bank.send_denominator, 0.0)
+        wrong_send = send != expected_send
+        # Loop only over offending servers, in node order, to format the
+        # first diagnostic.
+        for node in np.flatnonzero(negative | over_budget | grew | wrong_send):
+            node = int(node)
+            t_k = float(threshold[node])
+            estimate = float(accumulated[node])
+            if negative[node]:
                 self.violate(
                     "ape-budget",
                     f"server {node}: accumulated APE estimate is negative "
-                    f"({accumulated:.3e})",
+                    f"({estimate:.3e})",
                     record.round_index,
                 )
-            if schedule.active and accumulated > threshold:
+            if over_budget[node]:
                 self.violate(
                     "ape-budget",
                     f"server {node}: accumulated APE estimate "
-                    f"{accumulated:.6e} exceeds the stage budget T_k = "
-                    f"{threshold:.6e} without a stage advance (Algorithm 1, "
+                    f"{estimate:.6e} exceeds the stage budget T_k = "
+                    f"{t_k:.6e} without a stage advance (Algorithm 1, "
                     "lines 5-6)",
                     record.round_index,
                 )
-            watermark = self._threshold_watermarks[node]
-            if threshold > watermark * (1.0 + 1e-12):
+            if grew[node]:
                 self.violate(
                     "ape-budget",
-                    f"server {node}: stage budget grew from {watermark:.6e} "
-                    f"to {threshold:.6e}; T_k must decay monotonically",
+                    f"server {node}: stage budget grew from "
+                    f"{float(watermark[node]):.6e} to {t_k:.6e}; T_k must "
+                    "decay monotonically",
                     record.round_index,
                 )
-            self._threshold_watermarks[node] = threshold
-            expected_send = (
-                threshold / schedule._send_denominator if schedule.active else 0.0
-            )
-            if schedule.send_threshold != expected_send:
+            if wrong_send[node]:
                 self.violate(
                     "ape-budget",
-                    f"server {node}: send threshold {schedule.send_threshold!r}"
-                    f" != T_k / (I_k (1+αG)^I_k) = {expected_send!r} "
-                    "(Algorithm 1, line 4)",
+                    f"server {node}: send threshold {float(send[node])!r}"
+                    f" != T_k / (I_k (1+αG)^I_k) = "
+                    f"{float(expected_send[node])!r} (Algorithm 1, line 4)",
                     record.round_index,
                 )
+        np.copyto(watermark, threshold)
 
     def _observe_flows(self, round_index, sources, destinations, sizes, hops):
         """Tracker observer: stash each validated flow batch until the round check."""

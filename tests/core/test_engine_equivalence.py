@@ -10,6 +10,7 @@ straggler strategies, and active fault plans. These tests pin that contract.
 import numpy as np
 import pytest
 
+from repro.core.ape import APESchedule
 from repro.core.config import (
     SelectionPolicy,
     ShardWeighting,
@@ -30,6 +31,7 @@ from repro.models.logistic import LogisticRegression
 from repro.models.mlp import MLPClassifier
 from repro.models.softmax import SoftmaxRegression
 from repro.testing import RunDigest
+from repro.topology.generators import random_regular_topology
 from repro.topology.graph import Topology
 
 N_NODES = 6
@@ -229,3 +231,49 @@ class TestObservability:
         assert np.array_equal(ref_b.final_params, vec_b.final_params)
         for ref, vec in zip(ref_trainer.servers, vec_trainer.servers):
             assert np.array_equal(ref.params, vec.params)
+
+
+class TestColumnWiseAPE:
+    def test_vectorized_preset_makes_no_per_node_schedule_calls(self, monkeypatch):
+        """The vectorized APE round steps all N schedules as columns: no
+        per-row ``record_round`` / ``send_threshold`` call at N=64, and the
+        same digest as the reference engine's per-row walk."""
+        n_nodes = 64
+        shards = _binary_shards(seed=9, sizes=[30] * n_nodes)
+        model = LogisticRegression(5)
+        topology = random_regular_topology(n_nodes, 4, seed=3)
+
+        def run(engine):
+            config = SNAPConfig(
+                engine=engine, max_rounds=25, seed=7, optimize_weights=False
+            )
+            trainer = SNAPTrainer(
+                model, shards, topology, config, fault_plan=_fault_plan()
+            )
+            return trainer, trainer.run(stop_on_convergence=False)
+
+        reference = run("reference")
+
+        calls = []
+        record_round = APESchedule.record_round
+        send_threshold = APESchedule.send_threshold.fget
+
+        def counted_record_round(self, suppressed_max):
+            calls.append("record_round")
+            return record_round(self, suppressed_max)
+
+        def counted_send_threshold(self):
+            calls.append("send_threshold")
+            return send_threshold(self)
+
+        monkeypatch.setattr(APESchedule, "record_round", counted_record_round)
+        monkeypatch.setattr(
+            APESchedule, "send_threshold", property(counted_send_threshold)
+        )
+        vectorized = run("vectorized")
+        monkeypatch.undo()
+
+        assert calls == []
+        # Stage boundaries (and their EXTRA restarts) happened in the run.
+        assert vectorized[0]._schedules.stage.min() >= 1
+        _assert_identical(reference, vectorized)

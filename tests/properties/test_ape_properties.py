@@ -1,8 +1,10 @@
 """Property-based tests for the APE threshold schedule's invariants."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ape import APESchedule
+from repro.core.ape import APESchedule, APEScheduleBank
 
 
 @st.composite
@@ -79,3 +81,91 @@ def test_quiet_schedule_eventually_exhausts(schedule):
             break
         schedule.record_round(0.0)
     assert not schedule.active
+
+
+#: Thresholds a few ulp above zero: 0.9 * 2 ulp rounds back to 2 ulp, the
+#: "decay fails to shrink" case that must exhaust the schedule.
+DENORMALS = [5e-324, 1e-323, 1.5e-323, 2e-323, 1e-322]
+
+
+@st.composite
+def bank_cases(draw):
+    """Schedule constants plus a run of (active mask, suppressed) rounds."""
+    n = draw(st.integers(1, 8))
+    initial = draw(st.sampled_from(DENORMALS) | st.floats(1e-6, 10.0))
+    stage_iterations = draw(st.integers(1, 6))
+    constants = dict(
+        initial_threshold=initial,
+        growth=draw(st.floats(1.0, 1.5)),
+        stage_iterations=stage_iterations,
+        decay=draw(st.floats(0.1, 0.99)),
+        # Up to the initial budget itself, so schedules exhaust mid-run (or
+        # start exhausted when epsilon == T_0).
+        epsilon=draw(
+            st.sampled_from([0.0, 5e-324]) | st.floats(0.0, initial)
+        ),
+        max_stage_iterations=stage_iterations + draw(st.integers(0, 4)),
+    )
+    suppressed = st.sampled_from([0.0]) | st.floats(0.0, 2.0 * initial) | st.floats(
+        0.0, 5.0
+    )
+    rounds = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                st.lists(suppressed, min_size=n, max_size=n),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return n, constants, rounds
+
+
+def _state(schedule):
+    return repr(sorted(schedule.state_dict().items()))
+
+
+@given(bank_cases())
+@settings(max_examples=150, deadline=None)
+def test_bank_step_equals_independent_scalar_schedules(case):
+    n, constants, rounds = case
+    bank = APEScheduleBank(n, **constants)
+    scalars = [APESchedule(**constants) for _ in range(n)]
+    for mask, suppressed in rounds:
+        assert np.array_equal(
+            bank.send_thresholds(),
+            np.array([schedule.send_threshold for schedule in scalars]),
+        )
+        assert [row.send_threshold for row in bank] == [
+            schedule.send_threshold for schedule in scalars
+        ]
+        stages_before = [schedule.stage for schedule in scalars]
+        for node in np.flatnonzero(mask):
+            scalars[node].record_round(suppressed[node])
+        advanced = bank.record_rounds(np.array(mask), np.array(suppressed))
+        assert [_state(row) for row in bank] == [_state(s) for s in scalars]
+        assert advanced.tolist() == [
+            schedule.stage != before
+            for schedule, before in zip(scalars, stages_before)
+        ]
+
+
+@given(bank_cases(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_bank_rejects_negative_suppression_before_mutating(case, data):
+    n, constants, rounds = case
+    bank = APEScheduleBank(n, **constants)
+    for mask, suppressed in rounds:
+        bank.record_rounds(np.array(mask), np.array(suppressed))
+    node = data.draw(st.integers(0, n - 1))
+    suppressed = np.zeros(n)
+    suppressed[node] = -data.draw(st.floats(1e-300, 5.0))
+    mask = np.zeros(n, dtype=bool)
+    mask[node] = True
+    before = [_state(row) for row in bank]
+    with pytest.raises(ValueError):
+        bank.record_rounds(mask, suppressed)
+    assert [_state(row) for row in bank] == before
+    with pytest.raises(ValueError):
+        bank[node].record_round(suppressed[node])

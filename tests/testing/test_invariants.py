@@ -77,6 +77,25 @@ class TestSelfTestInjections:
         assert excinfo.value.round_index == 1
 
 
+class TestApeBudget:
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ({"accumulated": -1.0}, "accumulated APE estimate is negative"),
+            ({"accumulated": 1e9}, "exceeds the stage budget"),
+            ({"threshold": 1e9}, "stage budget grew"),
+        ],
+    )
+    def test_reports_the_lowest_offending_server(self, corrupt, message):
+        trainer = _base_scenario().build_trainer("vectorized", invariants="strict")
+        result = trainer.run(max_rounds=2, stop_on_convergence=False)
+        for node in (3, 1):
+            schedule = trainer._schedules[node]
+            schedule.load_state_dict({**schedule.state_dict(), **corrupt})
+        with pytest.raises(InvariantViolation, match=f"server 1: .*{message}"):
+            trainer.monitor._check_ape_budget(result.rounds[-1])
+
+
 class TestCustomChecks:
     def test_add_check_runs_every_round_and_can_violate(self):
         trainer = _base_scenario().build_trainer("reference", invariants="strict")
