@@ -65,6 +65,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.compression import payload_to_update
+from repro.core.engine import DeliveredEdges
 from repro.exceptions import ProtocolError
 from repro.network.channel import Channel
 from repro.network.cost import CommunicationCostTracker
@@ -156,7 +157,7 @@ class SemiSyncEngine:
         #: Flows buffered per (sender round, sender) for canonical-order flush.
         self._flow_buffer: dict[int, dict[int, list]] = {}
         self._round_params_sent: Counter = Counter()
-        self._round_delivered: dict[int, set] = defaultdict(set)
+        self._round_delivered: dict[int, list] = defaultdict(list)
         # -- staleness / conservation ledgers (exposed to the monitor) --
         self.max_progress_staleness = 0
         self.monotonic_views = True
@@ -194,7 +195,7 @@ class SemiSyncEngine:
 
     def communicate(
         self, round_index: int, down: frozenset
-    ) -> tuple[int, set[tuple[int, int]]]:
+    ) -> tuple[int, DeliveredEdges]:
         """Advance the fleet until every server completed ``round_index``.
 
         Servers left behind (degraded by every neighbor) are exempt from the
@@ -219,8 +220,8 @@ class SemiSyncEngine:
         self._settle_arrivals()
         self._flush_flows(round_index)
         params_sent = int(self._round_params_sent.pop(round_index, 0))
-        delivered = self._round_delivered.pop(round_index, set())
-        return params_sent, delivered
+        delivered = self._round_delivered.pop(round_index, [])
+        return params_sent, DeliveredEdges.from_pairs(delivered)
 
     def stacked_params(self) -> np.ndarray:
         return np.stack([server.params for server in self.trainer.servers])
@@ -457,7 +458,7 @@ class SemiSyncEngine:
                     server.mark_delivered(neighbor, message)
                     compressor.payload_delivered(payload, state)
                     self._round_params_sent[k] += message.n_sent
-                    self._round_delivered[k].add((node_id, neighbor))
+                    self._round_delivered[k].append((node_id, neighbor))
                     self._record_flow(
                         k, node_id, neighbor, report.size_bytes, compressor.name
                     )

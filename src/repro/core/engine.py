@@ -1,6 +1,6 @@
 """Pluggable simulation engines for the SNAP round loop.
 
-Two engines execute the same algorithm:
+Three engines execute the same algorithm:
 
 * :class:`ReferenceEngine` — the original per-object oracle: one
   :class:`~repro.core.server.EdgeServer` per node, per-neighbor
@@ -13,6 +13,12 @@ Two engines execute the same algorithm:
   selection for all directed edges happens at once on an ``(E, d)`` delta
   tensor with analytic Fig. 3 byte accounting instead of materialized
   message objects.
+* :class:`~repro.core.async_engine.SemiSyncEngine` — event-driven local
+  clocks with a bounded staleness barrier τ; at τ = 0 with uniform clocks
+  it reproduces the synchronous engines bit for bit.
+
+Each engine's ``communicate`` returns the round's delivered updates as a
+:class:`DeliveredEdges`.
 
 The vectorized engine is **bit-for-bit equivalent** to the reference on every
 seeded configuration — same ``RoundRecord`` stream, same flow ledger, same
@@ -44,15 +50,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
 
 
 class DeliveredEdges:
-    """Columnar set-like view of the directed edges delivered one round.
+    """The directed edges delivered in one round, as two parallel int64 arrays.
 
-    The vectorized engine returns this instead of a ``set`` of tuples so a
-    round at N=4096 (tens of thousands of delivered edges) hands the trainer
-    two int64 arrays rather than materializing per-pair Python objects. It
-    behaves like the historical set where consumed as one — ``len``,
-    iteration, membership, equality against a set — while the staleness and
-    connectivity bookkeeping read :attr:`sources` / :attr:`destinations`
-    directly.
+    Every engine's ``communicate`` returns one: row ``k`` is the update
+    ``sources[k] -> destinations[k]`` that arrived this round. Each directed
+    pair appears at most once (a link carries one update per round), so
+    ``len`` is the delivered-update count the staleness ledger subtracts.
+    The staleness and connectivity bookkeeping read the arrays directly, so
+    a round at N=4096 (tens of thousands of delivered edges) never
+    materializes per-pair Python objects.
     """
 
     __slots__ = ("sources", "destinations")
@@ -61,22 +67,14 @@ class DeliveredEdges:
         self.sources = sources
         self.destinations = destinations
 
+    @classmethod
+    def from_pairs(cls, pairs) -> "DeliveredEdges":
+        """Build from ``(source, destination)`` pairs (the per-object engines)."""
+        stacked = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return cls(stacked[:, 0].copy(), stacked[:, 1].copy())
+
     def __len__(self) -> int:
         return int(self.sources.size)
-
-    def __iter__(self):
-        return iter(zip(self.sources.tolist(), self.destinations.tolist()))
-
-    def __contains__(self, pair) -> bool:
-        source, destination = pair
-        return bool(
-            np.any((self.sources == source) & (self.destinations == destination))
-        )
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (DeliveredEdges, set, frozenset)):
-            return set(self) == set(other)
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"DeliveredEdges(n={len(self)})"
@@ -112,7 +110,7 @@ class ReferenceEngine:
 
     def communicate(
         self, round_index: int, down: frozenset
-    ) -> tuple[int, set[tuple[int, int]]]:
+    ) -> tuple[int, DeliveredEdges]:
         return self.trainer._communicate(round_index, down)
 
     def stacked_params(self) -> np.ndarray:
@@ -157,25 +155,9 @@ class VectorizedEngine:
         self._build_edge_structures()
 
         self.scales = np.asarray(trainer._objective_scales, dtype=float)
-        if trainer.config.workers > 1:
-            # Sharded gradient/loss pool: the (N, d) stack splits across
-            # forked workers over shared memory; every batch kernel is
-            # row-independent, so the joined result is bit-identical to the
-            # in-process call. Local import keeps multiprocessing machinery
-            # out of single-worker runs entirely.
-            from repro.core.parallel import ShardedModelPool
-
-            self._pool: "ShardedModelPool | None" = ShardedModelPool(
-                model,
-                [(shard.X, shard.y) for shard in trainer.shards],
-                trainer.config.workers,
-            )
-            self.prepared = None
-        else:
-            self._pool = None
-            self.prepared = model.prepare_shards(
-                [(shard.X, shard.y) for shard in trainer.shards]
-            )
+        self.prepared = model.prepare_shards(
+            [(shard.X, shard.y) for shard in trainer.shards]
+        )
 
         self._allocate_state()
         self.previous_gradients = np.zeros((self.n_nodes, self.n_params))
@@ -280,28 +262,10 @@ class VectorizedEngine:
         reference engine's post-swap round.
         """
         trainer = self.trainer
-        if self._pool is not None:  # pragma: no cover - forbidden by config
-            raise RuntimeError("drift is not supported with workers > 1")
         self.prepared = trainer.model.prepare_shards(
             [(shard.X, shard.y) for shard in trainer.shards]
         )
         self.begin_run()
-
-    def close(self) -> None:
-        """Release engine resources (the worker pool, when sharded)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def _batch_gradients(self) -> np.ndarray:
-        if self._pool is not None:
-            return self._pool.batch_gradients(self.params)
-        return self.trainer.model.batch_gradients(self.params, self.prepared)
-
-    def _batch_losses(self) -> np.ndarray:
-        if self._pool is not None:
-            return self._pool.batch_losses(self.params)
-        return self.trainer.model.batch_losses(self.params, self.prepared)
 
     def _build_mixing(self, edge_id: dict, w_tilde: bool) -> csr_matrix:
         """CSR mixing operator over the ``(N + E, d)`` state stack.
@@ -440,7 +404,9 @@ class VectorizedEngine:
     def step_round(self, round_index: int, down: frozenset) -> None:
         active = self._active_mask(down)
 
-        gradients = self.scales[:, None] * self._batch_gradients()
+        gradients = self.scales[:, None] * self.trainer.model.batch_gradients(
+            self.params, self.prepared
+        )
         robust = self.trainer.config.robust_aggregation
         if robust is not None:
             mixed_current = self._robust_layer(robust, current_layer=True)
@@ -472,7 +438,7 @@ class VectorizedEngine:
 
     def communicate(
         self, round_index: int, down: frozenset
-    ) -> "tuple[int, DeliveredEdges]":
+    ) -> tuple[int, DeliveredEdges]:
         """Dispatch on the compression scheme.
 
         The three preset policies run through the historical fully-batched
@@ -545,7 +511,7 @@ class VectorizedEngine:
 
     def _communicate_preset(
         self, round_index: int, down: frozenset
-    ) -> "tuple[int, DeliveredEdges]":
+    ) -> tuple[int, DeliveredEdges]:
         trainer = self.trainer
         active = self._active_mask(down)
         self._advance_views(active)
@@ -644,7 +610,7 @@ class VectorizedEngine:
 
     def _communicate_generic(
         self, round_index: int, down: frozenset
-    ) -> "tuple[int, DeliveredEdges]":
+    ) -> tuple[int, DeliveredEdges]:
         """The compressor-protocol round for non-preset schemes.
 
         Mirrors the reference trainer's ``_communicate`` exactly — same
@@ -755,5 +721,5 @@ class VectorizedEngine:
         return self.params.copy()
 
     def mean_local_loss(self) -> float:
-        losses = self._batch_losses()
+        losses = self.trainer.model.batch_losses(self.params, self.prepared)
         return float(np.mean(self.scales * losses))

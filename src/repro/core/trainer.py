@@ -30,7 +30,7 @@ from repro.compression import EdgeState, build_compressor, payload_to_update
 from repro.consensus.convergence import ConvergenceDetector, consensus_error
 from repro.consensus.step_size import safe_step_size
 from repro.core.config import ShardWeighting, SNAPConfig
-from repro.core.engine import build_engine
+from repro.core.engine import DeliveredEdges, build_engine
 from repro.core.server import EdgeServer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, NetworkPartitionError
@@ -64,7 +64,7 @@ PARTITION_WARN_ROUNDS = 10
 
 def _delivered_graph_connected(
     n_nodes: int,
-    delivered,
+    delivered: DeliveredEdges,
     down: frozenset = frozenset(),
 ) -> bool:
     """Whether the round's delivered updates span all *up* servers.
@@ -73,31 +73,21 @@ def _delivered_graph_connected(
     rule's business (it resumes from cached state), not a partition. What
     this flags is live servers split into islands that exchanged nothing.
 
-    ``delivered`` is either a set of directed pairs (reference/semisync
-    engines) or the vectorized engine's columnar
-    :class:`~repro.core.engine.DeliveredEdges`. Components are counted with
-    ``scipy.sparse.csgraph`` over the delivered-edge graph; down servers
-    never appear in ``delivered``, so they are exactly the singleton
-    components subtracted off.
+    Components are counted with ``scipy.sparse.csgraph`` over the
+    delivered-edge graph; down servers never appear in ``delivered``, so
+    they are exactly the singleton components subtracted off.
     """
     active = n_nodes - len(down)
     if active <= 1:
         return True
-    sources = getattr(delivered, "sources", None)
-    if sources is None:
-        pairs = list(delivered)
-        sources = np.fromiter(
-            (u for u, _ in pairs), dtype=np.int64, count=len(pairs)
-        )
-        destinations = np.fromiter(
-            (v for _, v in pairs), dtype=np.int64, count=len(pairs)
-        )
-    else:
-        destinations = delivered.destinations
+    sources = delivered.sources
     if sources.size == 0:
         return False
     graph = coo_matrix(
-        (np.ones(sources.size, dtype=np.int8), (sources, destinations)),
+        (
+            np.ones(sources.size, dtype=np.int8),
+            (sources, delivered.destinations),
+        ),
         shape=(n_nodes, n_nodes),
     )
     n_components, _ = connected_components(graph, directed=False)
@@ -331,20 +321,8 @@ class SNAPTrainer:
         # Stored columnar (one int64 slot per directed link, legacy insertion
         # order) so N=4096-scale rounds age/reset links with array ops; the
         # ``link_staleness`` property materializes the historical dict view.
-        self._staleness_pairs: list[tuple[int, int]] = []
-        for u, v in topology.edges:
-            self._staleness_pairs.append((u, v))
-            self._staleness_pairs.append((v, u))
+        self._index_staleness_ledger()
         self._staleness = np.zeros(len(self._staleness_pairs), dtype=np.int64)
-        self._staleness_index = {
-            pair: i for i, pair in enumerate(self._staleness_pairs)
-        }
-        keys = np.asarray(
-            [(u << 32) | v for u, v in self._staleness_pairs], dtype=np.int64
-        )
-        order = np.argsort(keys)
-        self._staleness_sorted_keys = keys[order]
-        self._staleness_sorted_slots = order
         self._partitioned_streak = 0
         self._partition_warned = False
         #: Global round counter across run() calls (and across checkpoint
@@ -466,6 +444,25 @@ class SNAPTrainer:
             pair: int(age)
             for pair, age in zip(self._staleness_pairs, self._staleness)
         }
+
+    def _index_staleness_ledger(self) -> None:
+        """Lay out the staleness ledger's slots for the current topology.
+
+        One slot per directed link, ``(u, v)`` then ``(v, u)`` per
+        undirected edge; the dict index serves per-pair lookups and the
+        sorted ``(source << 32) | destination`` keys serve the batched
+        reset in :meth:`_advance_staleness`.
+        """
+        pairs: list[tuple[int, int]] = []
+        for u, v in self.topology.edges:
+            pairs.append((u, v))
+            pairs.append((v, u))
+        self._staleness_pairs = pairs
+        self._staleness_index = {pair: i for i, pair in enumerate(pairs)}
+        keys = np.asarray([(u << 32) | v for u, v in pairs], dtype=np.int64)
+        order = np.argsort(keys)
+        self._staleness_sorted_keys = keys[order]
+        self._staleness_sorted_slots = order
 
     def add_round_observer(self, observer) -> None:
         """Subscribe a lightweight per-round observer.
@@ -774,24 +771,13 @@ class SNAPTrainer:
                 new_views=new_views,
             )
 
-        pairs: list[tuple[int, int]] = []
-        for u, v in self.topology.edges:
-            pairs.append((u, v))
-            pairs.append((v, u))
-        ages = np.zeros(len(pairs), dtype=np.int64)
-        for i, pair in enumerate(pairs):
+        self._index_staleness_ledger()
+        ages = np.zeros(len(self._staleness_pairs), dtype=np.int64)
+        for i, pair in enumerate(self._staleness_pairs):
             slot = old_index.get(pair)
             if slot is not None:
                 ages[i] = old_ages[slot]
-        self._staleness_pairs = pairs
         self._staleness = ages
-        self._staleness_index = {pair: i for i, pair in enumerate(pairs)}
-        keys = np.asarray(
-            [(u << 32) | v for u, v in pairs], dtype=np.int64
-        )
-        order = np.argsort(keys)
-        self._staleness_sorted_keys = keys[order]
-        self._staleness_sorted_slots = order
 
         if swap.compressor_spec is not None:
             # The budget controller never steps a preset's knob, so the
@@ -833,7 +819,7 @@ class SNAPTrainer:
 
     def _communicate(
         self, round_index: int, down: frozenset = frozenset()
-    ) -> tuple[int, set[tuple[int, int]]]:
+    ) -> tuple[int, DeliveredEdges]:
         """Send every server's per-neighbor updates through its compressor.
 
         View layers shift first (so a failed link leaves the receiver's
@@ -843,15 +829,16 @@ class SNAPTrainer:
         state only on confirmed delivery. Servers in ``down`` neither
         advance, send, nor receive this round.
 
-        Returns the total parameter values delivered and the set of directed
-        ``(source, destination)`` pairs whose update arrived this round.
+        Returns the total parameter values delivered and the
+        :class:`~repro.core.engine.DeliveredEdges` whose update arrived this
+        round (each directed pair at most once).
         """
         for server in self.servers:
             if server.node_id not in down:
                 server.advance_views()
 
         params_sent = 0
-        delivered: set[tuple[int, int]] = set()
+        delivered: list[tuple[int, int]] = []
         n_params = self.model.n_params
         for server_index, server in enumerate(self.servers):
             if server.node_id in down:
@@ -884,14 +871,14 @@ class SNAPTrainer:
                     server.mark_delivered(neighbor, message)
                     compressor.payload_delivered(payload, state)
                     params_sent += message.n_sent
-                    delivered.add((server.node_id, neighbor))
+                    delivered.append((server.node_id, neighbor))
                 else:
                     compressor.payload_dropped(payload, state)
             if compressor.end_round(ctx):
                 # Algorithm 1 stage boundary: restart EXTRA from the
                 # current solution under the tightened threshold.
                 server.restart_recursion()
-        return params_sent, delivered
+        return params_sent, DeliveredEdges.from_pairs(delivered)
 
     def transmit_params(
         self, params: Params, node: int, round_index: int
@@ -938,34 +925,23 @@ class SNAPTrainer:
         self._drift_epoch = epoch
         engine.rebuild_data()
 
-    def _advance_staleness(self, delivered) -> int:
+    def _advance_staleness(self, delivered: DeliveredEdges) -> int:
         """Age every directed link; reset the delivered ones. Returns #stale.
 
-        ``delivered`` only ever contains directed topology links, so the
+        ``delivered`` holds each directed topology link at most once, so the
         stale count is the link total minus the delivered count. The
-        vectorized engine's :class:`~repro.core.engine.DeliveredEdges`
-        resets its links with one sorted-key lookup instead of per-pair
-        Python iteration.
+        delivered links are reset with one sorted-key lookup.
         """
         arr = self._staleness
         if not arr.size:
             return 0
         arr += 1
-        sources = getattr(delivered, "sources", None)
-        if sources is None:
-            index = self._staleness_index
-            for pair in delivered:
-                arr[index[pair]] = 0
-            n_delivered = len(delivered)
-        else:
-            if sources.size:
-                keys = (sources << 32) | delivered.destinations
-                slots = self._staleness_sorted_slots[
-                    np.searchsorted(self._staleness_sorted_keys, keys)
-                ]
-                arr[slots] = 0
-            n_delivered = int(sources.size)
-        return arr.size - n_delivered
+        keys = (delivered.sources << 32) | delivered.destinations
+        slots = self._staleness_sorted_slots[
+            np.searchsorted(self._staleness_sorted_keys, keys)
+        ]
+        arr[slots] = 0
+        return arr.size - len(delivered)
 
     def _observe_partition(self, connected: bool, round_index: int) -> None:
         """Track consecutive partitioned rounds; warn, then abort per config."""

@@ -1,5 +1,7 @@
 """Tests for repro.core.config.SNAPConfig."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SelectionPolicy, SNAPConfig
@@ -17,6 +19,44 @@ class TestDefaults:
 
     def test_auto_alpha_by_default(self):
         assert SNAPConfig().alpha is None
+
+    def test_field_names_are_pinned(self):
+        """Every option is listed here, so adding one has to edit this pin."""
+        assert [field.name for field in dataclasses.fields(SNAPConfig)] == [
+            "alpha",
+            "step_safety",
+            "selection",
+            "optimize_weights",
+            "weight_iterations",
+            "ape_initial_fraction",
+            "ape_stage_iterations",
+            "ape_decay",
+            "ape_epsilon_fraction",
+            "curvature_bound",
+            "ape_growth",
+            "straggler_strategy",
+            "shard_weighting",
+            "engine",
+            "staleness_bound",
+            "straggler_patience_s",
+            "timing",
+            "sparse_weights",
+            "retain_flow_records",
+            "invariants",
+            "max_rounds",
+            "max_partitioned_rounds",
+            "seed",
+            "compressor",
+            "adaptive_topology",
+            "topology_reoptimize_every",
+            "topology_prune_threshold",
+            "topology_cost_weight",
+            "topology_readd",
+            "bytes_budget",
+            "robust_aggregation",
+            "drift",
+            "tier_damping",
+        ]
 
 
 class TestValidation:
@@ -43,6 +83,10 @@ class TestValidation:
     def test_bad_step_safety_rejected(self):
         with pytest.raises(ConfigurationError):
             SNAPConfig(step_safety=1.5)
+
+    def test_sparse_weights_exclude_weight_optimization(self):
+        with pytest.raises(ConfigurationError):
+            SNAPConfig(sparse_weights=True, optimize_weights=True)
 
 
 class TestConvenienceConstructors:
@@ -84,13 +128,11 @@ class TestScenarioAxes:
         with pytest.raises(ConfigurationError):
             SNAPConfig(drift="label_shift")
 
-    def test_drift_forbids_workers_and_staleness(self):
+    def test_drift_forbids_staleness(self):
         from repro.data.drift import StreamingArrival
 
         drift = StreamingArrival(period=3)
-        SNAPConfig(drift=drift)  # workers=1, staleness_bound=0: fine
-        with pytest.raises(ConfigurationError):
-            SNAPConfig(drift=drift, workers=2)
+        SNAPConfig(drift=drift)  # staleness_bound=0: fine
         with pytest.raises(ConfigurationError):
             SNAPConfig(drift=drift, staleness_bound=1)
 

@@ -17,7 +17,7 @@ from repro.core.config import (
     SNAPConfig,
     StragglerStrategy,
 )
-from repro.core.engine import ReferenceEngine, VectorizedEngine
+from repro.core.engine import DeliveredEdges, ReferenceEngine, VectorizedEngine
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
@@ -31,6 +31,7 @@ from repro.models.logistic import LogisticRegression
 from repro.models.mlp import MLPClassifier
 from repro.models.softmax import SoftmaxRegression
 from repro.testing import RunDigest
+from repro.testing.scenarios import ScenarioGen
 from repro.topology.generators import random_regular_topology
 from repro.topology.graph import Topology
 
@@ -277,3 +278,44 @@ class TestColumnWiseAPE:
         # Stage boundaries (and their EXTRA restarts) happened in the run.
         assert vectorized[0]._schedules.stage.min() >= 1
         _assert_identical(reference, vectorized)
+
+
+class TestDeliveredEdgesContract:
+    @pytest.mark.parametrize("index", [2, 51])
+    def test_every_engine_delivers_each_pair_at_most_once(self, index):
+        """All three engines hand the trainer a ``DeliveredEdges`` with no
+        repeated pair (the staleness ledger counts ``sources.size`` as the
+        delivered-link count) and agree on the pairs every round, under
+        link outages, node crashes and corruption."""
+        scenario = ScenarioGen(master_seed=0).scenario(index)
+        assert scenario.faulty
+
+        def delivered_per_round(engine):
+            trainer = scenario.build_trainer(engine)
+            communicate = trainer.engine.communicate
+            returns = []
+
+            def recording(round_index, down):
+                result = communicate(round_index, down)
+                returns.append(result[1])
+                return result
+
+            trainer.engine.communicate = recording
+            trainer.run(stop_on_convergence=False)
+            n_links = 2 * len(trainer.topology.edges)
+            rounds = []
+            for delivered in returns:
+                assert isinstance(delivered, DeliveredEdges)
+                pairs = list(
+                    zip(delivered.sources.tolist(), delivered.destinations.tolist())
+                )
+                assert len(set(pairs)) == len(pairs) == len(delivered)
+                rounds.append(sorted(pairs))
+            return rounds, n_links
+
+        reference, n_links = delivered_per_round("reference")
+        assert len(reference) == scenario.max_rounds
+        # The faults bite: some round loses at least one directed link.
+        assert min(len(pairs) for pairs in reference) < n_links
+        assert delivered_per_round("vectorized")[0] == reference
+        assert delivered_per_round("semisync")[0] == reference
