@@ -18,15 +18,21 @@ operation for operation: the same scale (``max(mean|x|, 1e-8)``), the same produ
 (``suppressed_max / scale``) — which is what keeps default runs bit-for-bit
 identical to the historical implementation (pinned by
 ``tests/compression/test_regression_pin.py``).
+
+The batch protocol runs the same arithmetic for every node and edge at
+once, on the :class:`~repro.core.ape.APEScheduleBank` that holds all N
+schedules as columns; it is what the vectorized engine calls, and the
+per-edge methods stay the oracle for every other runtime.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload
+from repro.compression.base import Compressor, EdgeBatch, EdgeState, Payload
 from repro.core.ape import APESchedule
 from repro.core.selection import select_parameters
+from repro.network.frames import encoded_update_bytes_many
 
 
 class APECompressor(Compressor):
@@ -39,6 +45,11 @@ class APECompressor(Compressor):
         permanent zero threshold (SNAP-0).
     dense:
         Skip selection entirely and always emit the full vector (SNO).
+
+    The batch methods step every node at once on whichever instance the
+    engine calls: the schedule's bank holds all N nodes' Algorithm 1 state,
+    and the instance keeps the persistent ``(E, d)`` scratch the round's
+    deltas and send mask are computed in.
     """
 
     name = "ape"
@@ -48,6 +59,8 @@ class APECompressor(Compressor):
             raise ValueError("dense selection does not take a schedule")
         self.schedule = schedule
         self.dense = bool(dense)
+        self._deltas: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
 
     def begin_round(self, params: np.ndarray, round_index: int) -> dict:
         if self.dense:
@@ -82,6 +95,59 @@ class APECompressor(Compressor):
         stage_before = self.schedule.stage
         self.schedule.record_round(ctx["suppressed_max"] / ctx["scale"])
         return self.schedule.stage != stage_before
+
+    def begin_batch(
+        self, params: np.ndarray, active: np.ndarray, round_index: int
+    ) -> dict:
+        ctx = {"active": active}
+        if self.dense:
+            return ctx
+        if self.schedule is not None:
+            relative = self.schedule.bank.send_thresholds()
+        else:
+            relative = np.zeros(len(params))
+        scale = np.maximum(np.abs(params).mean(axis=1), 1e-8)
+        ctx["scale"] = scale
+        ctx["threshold"] = relative * scale
+        return ctx
+
+    def compress_batch(
+        self, params, sources, references, eligible, ctx, edge_state
+    ) -> EdgeBatch:
+        if self._deltas is None or self._deltas.shape != references.shape:
+            self._deltas = np.empty(references.shape)
+            self._mask = np.empty(references.shape, dtype=bool)
+        deltas, mask = self._deltas, self._mask
+        if self.dense:
+            mask.fill(True)
+        else:
+            # In place on the persistent scratch, bitwise equal to
+            # abs(current - reference) > threshold row by row.
+            np.take(params, sources, axis=0, out=deltas)
+            np.subtract(deltas, references, out=deltas)
+            np.abs(deltas, out=deltas)
+            np.greater(deltas, ctx["threshold"][sources][:, None], out=mask)
+            if self.schedule is not None:
+                # Masked suppressed-max without a where() copy: zeroing the
+                # sent coordinates in place and reducing is bitwise equal to
+                # np.where(mask, 0.0, deltas).max(axis=1).
+                np.copyto(deltas, 0.0, where=mask)
+                rows = np.flatnonzero(eligible)
+                suppressed = np.zeros(len(params))
+                np.maximum.at(suppressed, sources[rows], deltas.max(axis=1)[rows])
+                ctx["suppressed"] = suppressed
+        n_params = references.shape[1]
+        sizes = encoded_update_bytes_many(n_params, n_params - mask.sum(axis=1))
+        # The deltas are dead: the scratch now carries the sent values.
+        np.take(params, sources, axis=0, out=deltas)
+        return EdgeBatch(mask, deltas, sizes)
+
+    def end_batch(self, ctx: dict, delivered: np.ndarray) -> np.ndarray:
+        if self.schedule is None:
+            return np.zeros(len(ctx["active"]), dtype=bool)
+        return self.schedule.bank.record_rounds(
+            ctx["active"], ctx["suppressed"] / ctx["scale"]
+        )
 
     def state_dict(self) -> dict:
         """Schedule state for checkpointing (empty outside the APE policy)."""

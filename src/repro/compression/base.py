@@ -15,6 +15,11 @@ run any of them through a single code path with honest byte accounting:
   state and reports whether the optimizer should restart its recursion
   (Algorithm 1's stage boundary).
 
+The vectorized engine runs the same round for every edge at once through
+:meth:`Compressor.begin_batch`, :meth:`Compressor.compress_batch` (an
+:class:`EdgeBatch` of send masks, absolute values and wire sizes) and
+:meth:`Compressor.end_batch`.
+
 **Reference tracking is the protocol's backbone.** Every edge carries a
 reference vector — the receiver's current view of the sender, which by
 protocol invariant equals the sender's ``last_sent`` record. Compressors
@@ -35,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
 from repro.network.frames import encoded_update_bytes
 from repro.network.messages import ParameterUpdate, QuantizationInfo
 
@@ -110,19 +114,38 @@ def payload_to_update(
     )
 
 
+class EdgeBatch(NamedTuple):
+    """One round's compressed updates for K directed edges, as arrays.
+
+    What :meth:`Compressor.compress_batch` returns; row ``k`` is the batch
+    form of one :class:`Payload` scattered into the full dimension:
+    ``mask[k, i]`` says coordinate ``i`` is sent, ``values[k, i]`` is then
+    the *absolute* value the receiver should hold (other entries are
+    unspecified), and ``sizes[k]`` is the payload's
+    :meth:`Compressor.bytes_on_wire`. The arrays may be the compressor's
+    scratch: the engine consumes (and may overwrite) them within the round.
+    """
+
+    mask: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
+
+
 class Compressor:
     """Base class of every compression scheme (see the module docstring).
 
     Subclasses must implement :meth:`compress`; everything else has
-    behavior-preserving defaults. Class attributes advertise capabilities:
+    behavior-preserving defaults. ``uses_rng`` advertises a stochastic
+    scheme: its edge states get a keyed per-edge generator.
 
-    * ``uses_rng`` — the scheme is stochastic; edge states get a keyed
-      per-edge generator.
-    * ``batched`` — :meth:`compress_batch` has a vectorized implementation
-      that is bit-for-bit identical to per-edge :meth:`compress` calls
-      (asserted by the engine-parity tests). Batched compressors must not
-      keep per-edge state outside :class:`EdgeState`, because the
-      vectorized engine routes all edges through one instance.
+    The vectorized engine drives one instance through the batch protocol
+    (:meth:`begin_batch`, :meth:`compress_batch`, :meth:`end_batch`) for
+    all N nodes and E directed edges at once. Its defaults run the per-edge
+    protocol row by row, which is what stateful schemes (a keyed RNG or a
+    per-edge residual) need. Schemes without per-edge state override
+    :meth:`compress_batch` with an array kernel that is bitwise identical
+    to the per-edge path; such a kernel owns the whole round, so a scheme
+    with per-node state (APE) overrides all three methods.
     """
 
     #: Human-readable label; the builder overrides it with the full spec
@@ -130,7 +153,6 @@ class Compressor:
     #: stage-attribution key.
     name: str = "compressor"
     uses_rng: bool = False
-    batched: bool = False
 
     # -- state ------------------------------------------------------------------
 
@@ -147,7 +169,7 @@ class Compressor:
             state.rng = edge_rng(seed, source, destination)
         return state
 
-    # -- the round protocol ------------------------------------------------------
+    # -- the per-edge round protocol --------------------------------------------
 
     def begin_round(self, params: np.ndarray, round_index: int) -> dict:
         """Per-node round context, computed once before the edge fan-out."""
@@ -158,38 +180,6 @@ class Compressor:
     ) -> Payload:
         """Compress ``current`` against ``state.reference`` for one edge."""
         raise NotImplementedError
-
-    def compress_batch(
-        self,
-        currents: np.ndarray,
-        references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
-        """Compress many edges at once; rows of the two matrices align.
-
-        The default delegates to per-edge :meth:`compress`; ``batched``
-        subclasses override it with vectorized kernels that produce
-        bitwise-identical payloads.
-        """
-        out = []
-        for row in range(len(states)):
-            states[row].reference = references[row]
-            out.append(self.compress(currents[row], states[row], ctxs[row]))
-        return out
-
-    def decompress(self, payload: Payload, reference: np.ndarray) -> np.ndarray:
-        """The receiver's reconstruction: overlay the payload onto a view."""
-        reference = np.asarray(reference, dtype=float)
-        if payload.indices.size and (
-            int(payload.indices.max()) >= reference.size
-        ):
-            raise ProtocolError(
-                f"payload indices exceed the reference dimension {reference.size}"
-            )
-        updated = reference.copy()
-        updated[payload.indices] = payload.values
-        return updated
 
     def bytes_on_wire(self, payload: Payload, total_params: int) -> int:
         """Exact wire bytes of this payload in its cheapest frame format."""
@@ -210,6 +200,75 @@ class Compressor:
         recursion restart (Algorithm 1's stage boundary)."""
         return False
 
+    # -- the batch round protocol -----------------------------------------------
+
+    def begin_batch(
+        self, params: np.ndarray, active: np.ndarray, round_index: int
+    ) -> dict:
+        """Round context for all N nodes; ``active`` masks the nodes that run."""
+        return {"active": active, "round_index": round_index}
+
+    def compress_batch(
+        self,
+        params: np.ndarray,
+        sources: np.ndarray,
+        references: np.ndarray,
+        eligible: np.ndarray,
+        ctx: dict,
+        edge_state,
+    ) -> EdgeBatch:
+        """Compress K directed edges at once.
+
+        Row ``k`` compresses ``params[sources[k]]`` against
+        ``references[k]``, the live view row its receiver holds (advanced
+        in place by delivery). Only ``eligible`` rows carry a message this
+        round; the other rows' outputs are unspecified. ``edge_state(k)``
+        returns row ``k``'s persistent :class:`EdgeState` and creates it on
+        first use, so a kernel that never calls it creates none.
+
+        The default is the per-edge protocol: ``begin_round`` for every
+        active node, then ``compress`` and ``bytes_on_wire`` for every
+        eligible row, scattered into the arrays. The per-node contexts are
+        built here rather than in :meth:`begin_batch`, so array kernels
+        that override this method pay no per-node loop.
+        """
+        n_rows, n_params = references.shape
+        mask = np.zeros((n_rows, n_params), dtype=bool)
+        values = np.zeros((n_rows, n_params))
+        sizes = np.zeros(n_rows, dtype=np.int64)
+        nodes = ctx["nodes"] = {
+            int(i): self.begin_round(params[i], ctx["round_index"])
+            for i in np.flatnonzero(ctx["active"])
+        }
+        sent = ctx["sent"] = []
+        for row in np.flatnonzero(eligible):
+            node = int(sources[row])
+            state = edge_state(row)
+            state.reference = references[row]
+            payload = self.compress(params[node], state, nodes[node])
+            mask[row, payload.indices] = True
+            values[row, payload.indices] = payload.values
+            sizes[row] = self.bytes_on_wire(payload, n_params)
+            sent.append((row, payload, state))
+        return EdgeBatch(mask, values, sizes)
+
+    def end_batch(self, ctx: dict, delivered: np.ndarray) -> np.ndarray:
+        """Close the round; returns the ``(N,)`` mask of nodes that restart.
+
+        ``delivered`` masks the rows whose update arrived. The default runs
+        the per-edge delivered/dropped hooks (their states' references
+        already hold the post-round views), then ``end_round`` per node.
+        """
+        restart = np.zeros(len(ctx["active"]), dtype=bool)
+        for row, payload, state in ctx.get("sent", ()):
+            if delivered[row]:
+                self.payload_delivered(payload, state)
+            else:
+                self.payload_dropped(payload, state)
+        for node, node_ctx in ctx.get("nodes", {}).items():
+            restart[node] = self.end_round(node_ctx)
+        return restart
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -229,6 +288,7 @@ def edge_rng(
 
 __all__ = [
     "Compressor",
+    "EdgeBatch",
     "EdgeState",
     "Payload",
     "QuantizationInfo",

@@ -36,10 +36,6 @@ class ErrorFeedback(Compressor):
     def uses_rng(self) -> bool:  # type: ignore[override]
         return self.inner.uses_rng
 
-    @property
-    def batched(self) -> bool:  # type: ignore[override]
-        return self.inner.batched
-
     def make_edge_state(
         self,
         n_params: int,
@@ -60,23 +56,6 @@ class ErrorFeedback(Compressor):
         payload = self.inner.compress(current, state, ctx)
         state.pending["ef_current"] = np.asarray(current, dtype=float).copy()
         return payload
-
-    def compress_batch(
-        self,
-        currents: np.ndarray,
-        references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
-        payloads = self.inner.compress_batch(currents, references, states, ctxs)
-        for row, state in enumerate(states):
-            state.pending["ef_current"] = np.asarray(
-                currents[row], dtype=float
-            ).copy()
-        return payloads
-
-    def decompress(self, payload: Payload, reference: np.ndarray) -> np.ndarray:
-        return self.inner.decompress(payload, reference)
 
     def bytes_on_wire(self, payload: Payload, total_params: int) -> int:
         return self.inner.bytes_on_wire(payload, total_params)

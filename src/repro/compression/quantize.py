@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload
+from repro.compression.base import Compressor, EdgeBatch, EdgeState, Payload
 from repro.network.frames import (
     check_quant_bits,
     dequantize_levels,
+    encoded_update_bytes_many,
     quantization_levels,
 )
 from repro.network.messages import QuantizationInfo
@@ -55,7 +56,6 @@ class UniformQuantizer(Compressor):
     """
 
     name = "uniform"
-    batched = True
 
     def __init__(self, bits: int = 4):
         self.bits = check_quant_bits(bits)
@@ -74,31 +74,30 @@ class UniformQuantizer(Compressor):
         return _quantized_payload(reference, levels, scale, self.bits)
 
     def compress_batch(
-        self,
-        currents: np.ndarray,
-        references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
-        drifts = currents - references
-        scales = np.abs(drifts).max(axis=1) if drifts.size else np.zeros(len(states))
+        self, params, sources, references, eligible, ctx, edge_state
+    ) -> EdgeBatch:
+        drifts = params[sources]
+        np.subtract(drifts, references, out=drifts)
+        n_rows, n_params = drifts.shape
+        scales = np.abs(drifts).max(axis=1) if n_params else np.zeros(n_rows)
         # Guard the zero rows out of the division; their levels are all zero
-        # anyway, and the expression for live rows matches compress() term
-        # for term (same operand order), so payloads are bitwise identical.
+        # anyway, and every live row applies compress()'s expressions term
+        # for term (same operand order), so the rows match it bitwise.
         safe = np.where(scales > 0.0, scales, 1.0)
         cap = quantization_levels(self.bits)
-        levels = np.rint(drifts / safe[:, None] * cap).astype(np.int64)
-        payloads = []
-        for row in range(len(states)):
-            if scales[row] == 0.0:
-                payloads.append(_empty_payload())
-            else:
-                payloads.append(
-                    _quantized_payload(
-                        references[row], levels[row], float(scales[row]), self.bits
-                    )
-                )
-        return payloads
+        np.divide(drifts, safe[:, None], out=drifts)
+        np.multiply(drifts, cap, out=drifts)
+        np.rint(drifts, out=drifts)
+        levels = drifts.astype(np.int64)
+        mask = levels != 0
+        # dequantize_levels row by row: level * (scale / L), then onto the
+        # reference, reusing the drift buffer for the values.
+        values = np.multiply(levels, (scales / cap)[:, None], out=drifts)
+        np.add(references, values, out=values)
+        sizes = encoded_update_bytes_many(
+            n_params, n_params - mask.sum(axis=1), self.bits
+        )
+        return EdgeBatch(mask, values, sizes)
 
 
 class TernGradCompressor(Compressor):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload
+from repro.compression.base import Compressor, EdgeBatch, EdgeState, Payload
 from repro.exceptions import ConfigurationError
+from repro.network.frames import encoded_update_bytes_many
 
 
 def _check_k(k) -> int:
@@ -31,7 +32,6 @@ class TopKCompressor(Compressor):
     """
 
     name = "topk"
-    batched = True
 
     def __init__(self, k: int = 16):
         self.k = _check_k(k)
@@ -49,24 +49,20 @@ class TopKCompressor(Compressor):
         return Payload(indices=indices, values=current[indices], meta={})
 
     def compress_batch(
-        self,
-        currents: np.ndarray,
-        references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
+        self, params, sources, references, eligible, ctx, edge_state
+    ) -> EdgeBatch:
+        currents = params[sources]
         magnitudes = np.abs(currents - references)
         # Batched stable argsort along axis 1 equals the per-row call on
-        # C-contiguous data, so the payloads match compress() bitwise.
+        # C-contiguous data, so the rows match compress() bitwise.
         ranked = np.argsort(-magnitudes, kind="stable")[:, : self.k]
-        payloads = []
-        for row in range(len(states)):
-            chosen = ranked[row][magnitudes[row][ranked[row]] > 0.0]
-            indices = np.sort(chosen)
-            payloads.append(
-                Payload(indices=indices, values=currents[row][indices], meta={})
-            )
-        return payloads
+        mask = np.zeros(magnitudes.shape, dtype=bool)
+        np.put_along_axis(
+            mask, ranked, np.take_along_axis(magnitudes, ranked, axis=1) > 0.0, axis=1
+        )
+        n_params = magnitudes.shape[1]
+        sizes = encoded_update_bytes_many(n_params, n_params - mask.sum(axis=1))
+        return EdgeBatch(mask, currents, sizes)
 
 
 class RandomKCompressor(Compressor):

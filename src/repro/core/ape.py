@@ -224,6 +224,11 @@ class APESchedule:
         schedule._row = row
         return schedule
 
+    @property
+    def bank(self) -> APEScheduleBank:
+        """The bank this schedule is a row of."""
+        return self._bank
+
     # -- shared constants ----------------------------------------------------
 
     @property

@@ -9,10 +9,11 @@ Three engines execute the same algorithm:
 * :class:`VectorizedEngine` — the fast path for large sweeps: all N parameter
   vectors live in one ``(N, d)`` matrix, the EXTRA mixing step (8) runs as a
   ``scipy.sparse`` CSR matmul against W and W̃, all N local gradients come
-  from one :meth:`~repro.models.base.Model.batch_gradients` call, and APE
-  selection for all directed edges happens at once on an ``(E, d)`` delta
-  tensor with analytic Fig. 3 byte accounting instead of materialized
-  message objects.
+  from one :meth:`~repro.models.base.Model.batch_gradients` call, and every
+  compression scheme runs one batch round over all directed edges: the
+  compressor returns ``(E, d)`` send masks and values plus per-edge frame
+  sizes (:class:`~repro.compression.base.EdgeBatch`), and delivery is one
+  masked write into the views.
 * :class:`~repro.core.async_engine.SemiSyncEngine` — event-driven local
   clocks with a bounded staleness barrier τ; at τ = 0 with uniform clocks
   it reproduces the synchronous engines bit for bit.
@@ -43,7 +44,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.core.config import StragglerStrategy
-from repro.network.frames import FLOAT_BYTES, INT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
     from repro.core.trainer import SNAPTrainer
@@ -230,11 +230,6 @@ class VectorizedEngine:
         self.previous_views = self._stack_previous[self.n_nodes :]
         self.fresh = np.ones(self.n_edges, dtype=bool)
         self.previous_fresh = np.ones(self.n_edges, dtype=bool)
-        # Persistent per-round scratch (lazily allocated): the preset
-        # communication kernel runs in place on these instead of allocating
-        # fresh (E, d) temporaries every round.
-        self._delta_scratch: np.ndarray | None = None
-        self._mask_scratch: np.ndarray | None = None
         self._subst_scratch: np.ndarray | None = None
 
     def rebuild_topology(self) -> None:
@@ -436,20 +431,6 @@ class VectorizedEngine:
 
     # -- communication ----------------------------------------------------------
 
-    def communicate(
-        self, round_index: int, down: frozenset
-    ) -> tuple[int, DeliveredEdges]:
-        """Dispatch on the compression scheme.
-
-        The three preset policies run through the historical fully-batched
-        kernel (whose operation order is pinned bit-for-bit against the
-        reference engine); every other compressor runs through the generic
-        protocol path, batched where the compressor supports it.
-        """
-        if self.trainer.compressor_spec.is_preset:
-            return self._communicate_preset(round_index, down)
-        return self._communicate_generic(round_index, down)
-
     def _tx_params(self, round_index: int) -> np.ndarray:
         """The (N, d) stack of *transmitted* parameters for this round.
 
@@ -509,210 +490,61 @@ class VectorizedEngine:
                 delivered_mask[e] = False
         return delivered_mask
 
-    def _communicate_preset(
+    def communicate(
         self, round_index: int, down: frozenset
     ) -> tuple[int, DeliveredEdges]:
-        trainer = self.trainer
-        active = self._active_mask(down)
-        self._advance_views(active)
-        tx = self._tx_params(round_index)
+        """One round for every scheme, with the reference trainer's rules.
 
-        scale = np.maximum(np.abs(tx).mean(axis=1), 1e-8)
-        schedules = trainer._schedules
-        if schedules is not None:
-            relative = schedules.send_thresholds()
-        else:
-            relative = np.zeros(self.n_nodes)
-        threshold = relative * scale
-
-        # A message exists for every active-src, active-dst edge (even over a
-        # failed link: the sender builds it before the channel drops it).
-        eligible = active[self.edge_src] & active[self.edge_dst]
-        dense = trainer.compressor_spec.kind == "dense"
-        d = self.n_params
-        if dense:
-            send_mask = None
-            n_sent = np.full(self.n_edges, d, dtype=np.int64)
-        else:
-            # In-place delta/mask kernel on persistent (E, d) scratch: no
-            # fresh full-size temporaries per round. Bitwise identical to
-            # abs(params[src] - views) > threshold.
-            if self._delta_scratch is None:
-                self._delta_scratch = np.empty((self.n_edges, d))
-                self._mask_scratch = np.empty((self.n_edges, d), dtype=bool)
-            deltas = self._delta_scratch
-            np.take(tx, self.edge_src, axis=0, out=deltas)
-            np.subtract(deltas, self.views, out=deltas)
-            np.abs(deltas, out=deltas)
-            send_mask = np.greater(
-                deltas, threshold[self.edge_src][:, None], out=self._mask_scratch
-            )
-            n_sent = send_mask.sum(axis=1)
-
-        suppressed_node = None
-        if schedules is not None:
-            # Masked suppressed-max without a where() copy: zeroing the sent
-            # coordinates in place and reducing is bitwise equal to
-            # np.where(send_mask, 0.0, deltas).max(axis=1) — and deltas is
-            # scratch, dead after this.
-            np.copyto(deltas, 0.0, where=send_mask)
-            suppressed_edge = deltas.max(axis=1)
-            suppressed_node = np.zeros(self.n_nodes)
-            idx = np.flatnonzero(eligible)
-            np.maximum.at(suppressed_node, self.edge_src[idx], suppressed_edge[idx])
-
-        wire = eligible & ~self._round_link_down(round_index)
-        delivered_mask = self._delivered_after_corruption(wire, round_index)
-
-        # Fig. 3 byte accounting: UNCHANGED_INDEX (4 + 4M + 8(d-M)) when
-        # d > 2M + 1, else INDEX_VALUE (12 (d-M)) — per message, analytically.
-        unsent = d - n_sent
-        sizes = np.where(
-            d > 2 * unsent + 1,
-            INT_BYTES + INT_BYTES * unsent + FLOAT_BYTES * n_sent,
-            (INT_BYTES + FLOAT_BYTES) * n_sent,
-        )
-        wire_idx = np.flatnonzero(wire)
-        if wire_idx.size:
-            trainer.tracker.record_many(
-                round_index,
-                self.edge_src[wire_idx],
-                self.edge_dst[wire_idx],
-                sizes[wire_idx],
-                hops=1,
-                stage=trainer.compressors[0].name,
-            )
-
-        delivered_idx = np.flatnonzero(delivered_mask)
-        if delivered_idx.size:
-            if dense:
-                self.views[delivered_idx] = tx[self.edge_src[delivered_idx]]
-            else:
-                # Masked write of the transmitted coordinates of delivered
-                # edges, staged through the (dead) delta scratch: the same
-                # values land in the same entries as a scatter, with no
-                # index arrays or (K, d) temporaries.
-                np.take(tx, self.edge_src, axis=0, out=deltas)
-                np.logical_and(send_mask, delivered_mask[:, None], out=send_mask)
-                np.copyto(self.views, deltas, where=send_mask)
-            self.fresh[delivered_idx] = True
-        params_sent = int(n_sent[delivered_idx].sum())
-        delivered = DeliveredEdges(
-            self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
-        )
-
-        if schedules is not None:
-            advanced = schedules.record_rounds(active, suppressed_node / scale)
-            # Algorithm 1 stage boundary: restart the EXTRA recursion.
-            self.has_previous &= ~advanced
-            self.previous_views_valid &= ~advanced
-        return params_sent, delivered
-
-    def _communicate_generic(
-        self, round_index: int, down: frozenset
-    ) -> tuple[int, DeliveredEdges]:
-        """The compressor-protocol round for non-preset schemes.
-
-        Mirrors the reference trainer's ``_communicate`` exactly — same
-        eligibility rules, same per-edge operands (a parameter row and the
-        live view row for that directed edge), same hook ordering — so every
-        compressor inherits bit-for-bit engine parity. Batched compressors
-        get one ``compress_batch`` call over all eligible edges; the rest
-        compress edge by edge against their keyed per-edge state.
+        Views shift, then one instance of the round's compressor runs the
+        batch protocol over every directed edge: a message exists on each
+        edge whose two ends are up (even over a failed link: the sender
+        builds it before the channel drops it), the ledger is charged for
+        each one put on the wire, and delivery is one masked write of the
+        sent coordinates into the views. The compressor's ``end_batch``
+        names the nodes at an Algorithm 1 stage boundary, which restart
+        their EXTRA recursion.
         """
         trainer = self.trainer
         active = self._active_mask(down)
         self._advance_views(active)
         tx = self._tx_params(round_index)
+        compressor = trainer.compressors[0]
 
-        compressors = trainer.compressors
-        ctxs: dict[int, dict] = {
-            int(i): compressors[int(i)].begin_round(tx[int(i)], round_index)
-            for i in np.flatnonzero(active)
-        }
+        def edge_state(row: int):
+            source, destination = self.edge_src[row], self.edge_dst[row]
+            return trainer._edge_state(int(source), int(destination))
 
         eligible = active[self.edge_src] & active[self.edge_dst]
-        elig_idx = np.flatnonzero(eligible)
-        d = self.n_params
-
-        states = {
-            int(e): trainer._edge_state(
-                int(self.edge_src[e]), int(self.edge_dst[e])
-            )
-            for e in elig_idx
-        }
-        payloads: dict[int, object] = {}
-        if elig_idx.size:
-            if compressors[0].batched:
-                batch = compressors[0].compress_batch(
-                    tx[self.edge_src[elig_idx]],
-                    self.views[elig_idx],
-                    [states[int(e)] for e in elig_idx],
-                    [ctxs[int(self.edge_src[e])] for e in elig_idx],
-                )
-                payloads = {int(e): p for e, p in zip(elig_idx, batch)}
-            else:
-                for e in elig_idx:
-                    e = int(e)
-                    src = int(self.edge_src[e])
-                    state = states[e]
-                    state.reference = self.views[e]
-                    payloads[e] = compressors[src].compress(
-                        tx[src], state, ctxs[src]
-                    )
-
-        sizes = np.zeros(self.n_edges, dtype=np.int64)
-        n_sent = np.zeros(self.n_edges, dtype=np.int64)
-        for e, payload in payloads.items():
-            n_sent[e] = payload.n_sent
-            sizes[e] = compressors[int(self.edge_src[e])].bytes_on_wire(
-                payload, d
-            )
+        ctx = compressor.begin_batch(tx, active, round_index)
+        batch = compressor.compress_batch(
+            tx, self.edge_src, self.views, eligible, ctx, edge_state
+        )
 
         wire = eligible & ~self._round_link_down(round_index)
         delivered_mask = self._delivered_after_corruption(wire, round_index)
-
         wire_idx = np.flatnonzero(wire)
         if wire_idx.size:
             trainer.tracker.record_many(
                 round_index,
                 self.edge_src[wire_idx],
                 self.edge_dst[wire_idx],
-                sizes[wire_idx],
+                batch.sizes[wire_idx],
                 hops=1,
-                stage=compressors[0].name,
+                stage=compressor.name,
             )
 
         delivered_idx = np.flatnonzero(delivered_mask)
-        for e in delivered_idx:
-            e = int(e)
-            payload = payloads[e]
-            if payload.n_sent:
-                self.views[e][payload.indices] = payload.values
-            self.fresh[e] = True
-        params_sent = int(n_sent[delivered_idx].sum())
+        np.logical_and(batch.mask, delivered_mask[:, None], out=batch.mask)
+        np.copyto(self.views, batch.values, where=batch.mask)
+        self.fresh[delivered_idx] = True
+        params_sent = int(np.count_nonzero(batch.mask))
         delivered = DeliveredEdges(
             self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
         )
 
-        # Outcome hooks observe the post-round reference (the live view row,
-        # advanced in place by the delivery writes above), matching the
-        # reference engine's mark_delivered-then-hook ordering.
-        for e in elig_idx:
-            e = int(e)
-            state = states[e]
-            state.reference = self.views[e]
-            src = int(self.edge_src[e])
-            if delivered_mask[e]:
-                compressors[src].payload_delivered(payloads[e], state)
-            else:
-                compressors[src].payload_dropped(payloads[e], state)
-
-        for i, ctx in ctxs.items():
-            if compressors[i].end_round(ctx):
-                # Algorithm 1 stage boundary: restart the EXTRA recursion.
-                self.has_previous[i] = False
-                self.previous_views_valid[i] = False
+        restart = compressor.end_batch(ctx, delivered_mask)
+        self.has_previous &= ~restart
+        self.previous_views_valid &= ~restart
         return params_sent, delivered
 
     # -- observation ------------------------------------------------------------

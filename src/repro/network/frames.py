@@ -166,6 +166,34 @@ def encoded_update_bytes(
     return frame_size_bytes(total_params, unsent_params, chosen, bits)
 
 
+def encoded_update_bytes_many(
+    total_params: int, unsent_params: np.ndarray, bits: int | None = None
+) -> np.ndarray:
+    """:func:`encoded_update_bytes` for many updates of one dimension at once.
+
+    ``unsent_params`` holds one ``M`` per update; returns the int64 byte
+    counts, element for element what the scalar function returns. A
+    QUANTIZED frame that only ties the Fig. 3 choice has the same size, so
+    the strict-win rule reduces to a minimum here.
+    """
+    unsent = np.asarray(unsent_params, dtype=np.int64)
+    if unsent.size:
+        _check_counts(total_params, int(unsent.min()))
+        _check_counts(total_params, int(unsent.max()))
+    sent = total_params - unsent
+    sizes = np.where(
+        total_params > 2 * unsent + 1,
+        INT_BYTES + INT_BYTES * unsent + FLOAT_BYTES * sent,
+        (INT_BYTES + FLOAT_BYTES) * sent,
+    )
+    if bits is not None:
+        bits = check_quant_bits(bits)
+        index_bytes = np.where(unsent == 0, 0, INT_BYTES * sent)
+        quantized = 2 + FLOAT_BYTES + INT_BYTES + index_bytes + (sent * bits + 7) // 8
+        np.minimum(sizes, quantized, out=sizes)
+    return sizes
+
+
 def full_vector_bytes(total_params: int) -> int:
     """Bytes of a dense, index-free parameter or gradient vector.
 

@@ -85,6 +85,17 @@ def run_trace(trainer: SNAPTrainer) -> tuple:
     return digest.rounds_trace, digest.ledger_trace, digest.final_params_sha
 
 
+def compress_rows(compressor, currents, references):
+    """One array-kernel ``compress_batch`` over K rows, row ``k`` sent by
+    node ``k``: ``currents`` doubles as the (K, d) stack of K active nodes."""
+    n_rows = len(currents)
+    everyone = np.ones(n_rows, dtype=bool)
+    ctx = compressor.begin_batch(currents, everyone, 0)
+    return compressor.compress_batch(
+        currents, np.arange(n_rows), references, everyone, ctx, None
+    )
+
+
 @pytest.fixture(scope="module")
 def mesh_setup():
     return (

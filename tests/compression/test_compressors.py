@@ -19,6 +19,7 @@ from repro.network.frames import (
     encoded_update_bytes,
     quantization_levels,
 )
+from tests.compression.conftest import compress_rows
 
 
 def make_state(compressor, reference, source=0, destination=1, seed=7):
@@ -51,13 +52,15 @@ class TestTopK:
         currents = rng.normal(size=(4, 9))
         references = rng.normal(size=(4, 9))
         states = [make_state(compressor, references[i], 0, i) for i in range(4)]
-        batched = compressor.compress_batch(
-            currents, references, states, [{}] * 4
-        )
+        batched = compress_rows(compressor, currents, references)
         for row in range(4):
             single = compressor.compress(currents[row], states[row], {})
-            np.testing.assert_array_equal(batched[row].indices, single.indices)
-            np.testing.assert_array_equal(batched[row].values, single.values)
+            np.testing.assert_array_equal(
+                np.flatnonzero(batched.mask[row]), single.indices
+            )
+            np.testing.assert_array_equal(
+                batched.values[row][single.indices], single.values
+            )
 
     def test_rejects_bad_k(self):
         for bad in (0, -1, 2.5, True):
@@ -120,13 +123,15 @@ class TestUniformQuantizer:
         references = currents.copy()
         references[1:] += rng.normal(size=(4, 8))  # row 0 has zero drift
         states = [make_state(compressor, references[i], 0, i) for i in range(5)]
-        batched = compressor.compress_batch(
-            currents, references, states, [{}] * 5
-        )
+        batched = compress_rows(compressor, currents, references)
         for row in range(5):
             single = compressor.compress(currents[row], states[row], {})
-            np.testing.assert_array_equal(batched[row].indices, single.indices)
-            np.testing.assert_array_equal(batched[row].values, single.values)
+            np.testing.assert_array_equal(
+                np.flatnonzero(batched.mask[row]), single.indices
+            )
+            np.testing.assert_array_equal(
+                batched.values[row][single.indices], single.values
+            )
 
     def test_wire_bytes_use_quantized_frame_when_cheaper(self):
         compressor = UniformQuantizer(bits=2)

@@ -1,8 +1,9 @@
-"""Reference vs vectorized engine parity for the generic compressors.
+"""Reference vs vectorized engine parity for every compressor.
 
 The subsystem's contract is that both engines share the compressor
-implementations and per-edge state, so every scheme — not just the paper's
-presets — must produce the *identical* run on both: same per-round records,
+implementations and per-edge state, so every scheme the vectorized
+engine's one batch round serves — the paper's presets passed as
+``compressor=``, the array kernels and the per-edge default — must produce the *identical* run on both: same per-round records,
 same flow ledger, same final parameters, clean and under the fault plan.
 """
 
@@ -13,12 +14,17 @@ import pytest
 from tests.compression.conftest import make_trainer, run_trace
 
 SPECS = [
+    "ape",
+    "changed_only",
+    "dense",
     "topk:k=3",
     "randomk:k=2",
     "uniform:bits=4",
     "terngrad",
     "ef:topk:k=3",
     "ef:uniform:bits=6",
+    "ef:randomk:k=2",
+    "ef:terngrad",
 ]
 
 

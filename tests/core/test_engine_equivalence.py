@@ -10,6 +10,7 @@ straggler strategies, and active fault plans. These tests pin that contract.
 import numpy as np
 import pytest
 
+from repro.compression.base import Compressor, EdgeState, Payload
 from repro.core.ape import APESchedule
 from repro.core.config import (
     SelectionPolicy,
@@ -278,6 +279,67 @@ class TestColumnWiseAPE:
         # Stage boundaries (and their EXTRA restarts) happened in the run.
         assert vectorized[0]._schedules.stage.min() >= 1
         _assert_identical(reference, vectorized)
+
+
+class TestOneCommunicationKernel:
+    @pytest.mark.parametrize("spec", ["ape", "uniform:bits=4", "topk:k=3"])
+    def test_array_kernels_build_no_per_edge_objects(self, spec, monkeypatch):
+        """Schemes without per-edge state run the vectorized round as pure
+        array work at N=64 under faults: no per-edge ``compress`` call, no
+        ``Payload`` and no ``EdgeState`` — and the reference's digest."""
+        n_nodes = 64
+        shards = _binary_shards(seed=9, sizes=[30] * n_nodes)
+        model = LogisticRegression(5)
+        topology = random_regular_topology(n_nodes, 4, seed=3)
+
+        def run(engine):
+            config = SNAPConfig(
+                engine=engine,
+                max_rounds=25,
+                seed=7,
+                optimize_weights=False,
+                compressor=spec,
+            )
+            trainer = SNAPTrainer(
+                model, shards, topology, config, fault_plan=_fault_plan()
+            )
+            return trainer, trainer.run(stop_on_convergence=False)
+
+        reference = run("reference")
+
+        counts = {"compress": 0, "Payload": 0, "EdgeState": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for cls in (Compressor, *_subclasses(Compressor)):
+            if "compress" in vars(cls):
+                monkeypatch.setattr(
+                    cls, "compress", counting("compress", vars(cls)["compress"])
+                )
+        monkeypatch.setattr(
+            Payload, "__new__", counting("Payload", Payload.__new__)
+        )
+        monkeypatch.setattr(
+            EdgeState, "__init__", counting("EdgeState", EdgeState.__init__)
+        )
+        vectorized = run("vectorized")
+        monkeypatch.undo()
+
+        assert counts == {"compress": 0, "Payload": 0, "EdgeState": 0}
+        assert vectorized[0]._edge_states == {}
+        _assert_identical(reference, vectorized)
+
+
+def _subclasses(cls):
+    found = []
+    for sub in cls.__subclasses__():
+        found += [sub, *_subclasses(sub)]
+    return found
 
 
 class TestDeliveredEdgesContract:

@@ -32,6 +32,7 @@ from repro.network.frames import (
     select_frame_format,
 )
 from repro.network.messages import ParameterUpdate, QuantizationInfo
+from tests.compression.conftest import compress_rows
 
 
 def _edge_state(n_params: int, reference: np.ndarray) -> EdgeState:
@@ -62,11 +63,11 @@ class TestZeroRangeVectors:
         references = np.vstack([np.zeros(6), np.linspace(0, 1, 6)])
         currents = np.vstack([np.zeros(6), np.linspace(0, 1, 6) + 0.25])
         states = [_edge_state(6, references[i]) for i in range(2)]
-        batch = quantizer.compress_batch(currents, references, states, [{}, {}])
-        assert batch[0].indices.size == 0  # zero-drift row
+        batch = compress_rows(quantizer, currents, references)
+        assert np.flatnonzero(batch.mask[0]).size == 0  # zero-drift row
         single = quantizer.compress(currents[1], states[1], {})
-        np.testing.assert_array_equal(batch[1].indices, single.indices)
-        np.testing.assert_array_equal(batch[1].values, single.values)
+        np.testing.assert_array_equal(np.flatnonzero(batch.mask[1]), single.indices)
+        np.testing.assert_array_equal(batch.values[1][single.indices], single.values)
 
     def test_ternarize_zero_vector_passes_through(self):
         rng = np.random.default_rng(0)

@@ -122,3 +122,48 @@ def test_retention_off_bounds_memory_at_n512():
         f"peak RSS {peak_mib:.0f} MiB at N={n} with retention off; the "
         "memory-bounded fast path must stay well under 512 MiB"
     )
+
+
+def _round_ms(compressor: str, n_nodes: int, rounds: int, repeats: int = 3) -> float:
+    """Best-of-``repeats`` wall time of one vectorized round under a scheme."""
+    rng = np.random.default_rng(42)
+    shards = []
+    for _ in range(n_nodes):
+        X = rng.normal(size=(10, N_FEATURES))
+        w = rng.normal(size=N_FEATURES)
+        shards.append(Dataset(X, (X @ w > 0).astype(float)))
+    topology = random_regular_topology(n_nodes, degree=4, seed=3)
+    config = SNAPConfig(
+        engine="vectorized",
+        max_rounds=10_000,
+        seed=7,
+        optimize_weights=False,
+        sparse_weights=True,
+        retain_flow_records=False,
+        compressor=compressor,
+    )
+    trainer = SNAPTrainer(LogisticRegression(N_FEATURES), shards, topology, config)
+    trainer.run(max_rounds=2, stop_on_convergence=False)  # warm-up
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        trainer.run(max_rounds=rounds, stop_on_convergence=False)
+        best = min(best, (time.perf_counter() - start) / rounds)
+    return 1000.0 * best
+
+
+@pytest.mark.perf
+def test_quantized_round_costs_at_most_3x_an_ape_round_at_n1024():
+    """Every scheme shares the vectorized engine's one array round.
+
+    A ``uniform:bits=8`` round used to build one payload object per edge
+    and ran ~27x slower than an APE round at N=1024; on the shared array
+    kernel the two cost about the same, so 3x leaves room for machine
+    noise while catching per-edge Python creeping back into the round.
+    """
+    ape = _round_ms("ape", n_nodes=1024, rounds=15)
+    uniform = _round_ms("uniform:bits=8", n_nodes=1024, rounds=15)
+    assert uniform <= 3.0 * ape, (
+        f"uniform:bits=8 round {uniform:.1f} ms vs APE round {ape:.1f} ms at "
+        "N=1024: more than 3x, so the quantizer left the array kernel"
+    )
